@@ -482,39 +482,29 @@ def _cmd_table1(args):
 
 
 def _cmd_serve(args):
-    from .server import serve
+    from .server import StoreLocked, serve
     from .service import EventBus, JsonlEventWriter, LiveRenderer
 
     if args.coordinator and args.join:
         print("serve: --coordinator and --join are mutually exclusive",
               file=sys.stderr)
         return 2
-    bus = EventBus()
-    if not args.quiet:
-        bus.subscribe(LiveRenderer(verbose=args.verbose))
-    writer = None
-    if args.events:
-        writer = JsonlEventWriter(args.events)
-        bus.subscribe(writer)
-    try:
-        if args.coordinator:
-            from .fleet import serve_coordinator
-
-            return serve_coordinator(
-                host=args.host,
-                port=args.port,
-                store_dir=args.store_dir,
-                cache_dir=None if args.no_cache else args.cache_dir,
-                cache_max_entries=args.cache_max_entries,
-                cache_max_bytes=args.cache_max_bytes,
-                queue_limit=args.queue_limit,
-                rate=args.rate,
-                burst=args.burst,
-                dead_after=args.dead_after,
-                heartbeat_interval=args.heartbeat,
-                ready_file=args.ready_file,
-                bus=bus,
-            )
+    options = dict(
+        host=args.host,
+        port=args.port,
+        store_dir=args.store_dir,
+        cache_dir=None if args.no_cache else args.cache_dir,
+        cache_max_entries=args.cache_max_entries,
+        cache_max_bytes=args.cache_max_bytes,
+        queue_limit=args.queue_limit,
+        rate=args.rate,
+        burst=args.burst,
+        heartbeat_interval=args.heartbeat,
+        ready_file=args.ready_file,
+    )
+    if args.coordinator:
+        options["dead_after"] = args.dead_after
+    else:
         trusted = list(args.trusted_proxy or ())
         remote_cache_url = args.cache_url
         if args.join:
@@ -528,28 +518,28 @@ def _cmd_serve(args):
                 trusted.append(joined.hostname)
             if remote_cache_url is None and not args.no_remote_cache:
                 remote_cache_url = args.join
-        return serve(
-            host=args.host,
-            port=args.port,
+        options.update(
             workers=args.workers,
-            store_dir=args.store_dir,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            cache_max_entries=args.cache_max_entries,
-            cache_max_bytes=args.cache_max_bytes,
-            queue_limit=args.queue_limit,
             job_time_limit=args.time_limit,
             refine_workers=args.refine_workers,
-            rate=args.rate,
-            burst=args.burst,
-            ready_file=args.ready_file,
             node_id=args.node_id,
             join_url=args.join,
             advertise_host=args.advertise_host,
-            heartbeat_interval=args.heartbeat,
             trusted_proxies=trusted,
             remote_cache_url=remote_cache_url,
-            bus=bus,
         )
+    bus = EventBus()
+    if not args.quiet:
+        bus.subscribe(LiveRenderer(verbose=args.verbose))
+    writer = None
+    if args.events:
+        writer = JsonlEventWriter(args.events)
+        bus.subscribe(writer)
+    try:
+        return serve(coordinator=args.coordinator, bus=bus, **options)
+    except StoreLocked as exc:
+        print("serve: {}".format(exc), file=sys.stderr)
+        return 2
     finally:
         if writer is not None:
             writer.close()

@@ -7,11 +7,16 @@ API a single daemon exposes: rendezvous-sharded dispatch
 node can serve (:mod:`repro.fleet.cachenet`), sticky SSE relay streams,
 and node death/rejoin handled by the job store's crash-recovery requeue.
 
-See ``docs/FLEET.md`` for topology, lifecycle and failure semantics.
+Layout: :mod:`.coordinator` holds the fleet executor (membership,
+dispatch, relay tails, ``/v1/nodes`` and ``/v1/cache``) and
+:class:`CoordinatorServer`, the :mod:`repro.server.frontend` job front
+end over it; :mod:`.node` a worker's membership loop.  HTTP to other
+daemons goes through :mod:`repro.server.httpd`.  See ``docs/FLEET.md``
+for topology, lifecycle and failure semantics.
 """
 
 from .cachenet import CacheClient, TieredCache
-from .coordinator import CoordinatorServer, NodeInfo, serve_coordinator
+from .coordinator import CoordinatorServer, NodeInfo
 from .node import FleetMember
 from .shard import assign_all, assign_node, routing_key
 
@@ -24,5 +29,4 @@ __all__ = [
     "assign_all",
     "assign_node",
     "routing_key",
-    "serve_coordinator",
 ]

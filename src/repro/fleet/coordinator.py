@@ -5,9 +5,10 @@ VerifyServer` started with ``--join``) and presents the *same job API* a
 single daemon does — ``POST /v1/jobs``, ``GET /v1/jobs/{id}``, SSE
 ``/v1/jobs/{id}/events`` — so every existing client
 (:class:`repro.client.ServerClient`, ``repro-sec remote``,
-:class:`~repro.client.RemoteScheduler`) talks to a fleet unchanged.
-
-Responsibilities:
+:class:`~repro.client.RemoteScheduler`) talks to a fleet unchanged.  It
+is the same front end: :class:`CoordinatorServer` is the
+:class:`~repro.server.frontend.JobFrontEnd` over a
+:class:`FleetExecutor`, which adds what only a coordinator does:
 
 * **Membership** — workers join (``POST /v1/nodes``) and heartbeat; a
   node silent past ``dead_after`` seconds is declared dead by the
@@ -40,39 +41,28 @@ Responsibilities:
 
 import asyncio
 import json
-import math
-import os
-import signal
 import time
 
 from ..server import store as store_mod
+from ..server.frontend import Executor, JobFrontEnd, cancel_task
 from ..server.httpd import (
+    AsyncHttpError,
     HttpError,
-    SseWriter,
-    error_response,
     json_response,
-    read_request,
+    request_json,
+    sse_events,
 )
-from ..server.ratelimit import RateLimiter
-from ..service.cache import ResultCache
 from ..service.events import (
-    CLIENT_THROTTLED,
     Event,
-    EventBus,
     JOB_DISPATCHED,
-    JOB_REQUEUED,
-    JOB_SUBMITTED,
     NODE_DIED,
     NODE_JOINED,
     NODE_LEFT,
-    SERVER_STARTED,
-    SERVER_STOPPED,
 )
 from ..service.job import CACHE_FORMAT_VERSION
-from .ahttp import AsyncHttpError, request_json, sse_events
 from .shard import assign_node, routing_key
 
-__all__ = ["CoordinatorServer", "NodeInfo", "serve_coordinator"]
+__all__ = ["CoordinatorServer", "FleetExecutor", "NodeInfo"]
 
 #: Consecutive unreachable relay attempts before a tail declares its node
 #: dead without waiting for the heartbeat reaper.
@@ -102,118 +92,22 @@ class NodeInfo:
                 "dispatched": self.dispatched, "joins": self.joins}
 
 
-class CoordinatorServer:
-    """HTTP front end sharding jobs across registered worker daemons."""
+class FleetExecutor(Executor):
+    """Runs queued jobs by dispatching them to registered worker nodes."""
 
-    def __init__(self, host="127.0.0.1", port=0, store_dir=None,
-                 cache_dir=None, cache_max_entries=None, cache_max_bytes=None,
-                 queue_limit=256, rate=50.0, burst=100, request_timeout=10.0,
-                 sse_heartbeat=10.0, sse_write_timeout=10.0,
-                 dead_after=6.0, heartbeat_interval=2.0, poll_interval=0.05,
-                 dispatch_timeout=10.0, history_limit=2000, bus=None,
-                 ready_file=None):
-        self.host = host
-        self.port = port
-        self.queue_limit = queue_limit
-        self.request_timeout = request_timeout
-        self.sse_heartbeat = sse_heartbeat
-        self.sse_write_timeout = sse_write_timeout
+    role = "coordinator"
+
+    def __init__(self, dead_after, heartbeat_interval, dispatch_timeout):
         self.dead_after = dead_after
         self.heartbeat_interval = heartbeat_interval
-        self.poll_interval = poll_interval
         self.dispatch_timeout = dispatch_timeout
-        self.history_limit = history_limit
-        self.ready_file = ready_file
-        self.bus = bus or EventBus()
-        self.store = store_mod.JobStore(store_dir or ".repro-coordinator")
-        self.cache = None
-        if cache_dir:
-            self.cache = ResultCache(cache_dir,
-                                     max_entries=cache_max_entries,
-                                     max_bytes=cache_max_bytes)
-        self.limiter = RateLimiter(rate=rate, burst=burst)
         self.nodes = {}       # node id -> NodeInfo
-        self._history = {}    # coordinator job id -> [event dict, ...]
-        self._watchers = {}   # coordinator job id -> set of asyncio.Queue
         self._tails = {}      # coordinator job id -> asyncio.Task
-        self._server = None
-        self._pump_task = None
-        self._connections = set()
-        self._stop_event = None
-        self._started_at = None
-        self.events_published = 0
-        self.events_dropped = 0
         self.requeues = 0
         self.dispatch_failures = 0
-        self.bus.subscribe(self._on_event)
-
-    # -- event fan-out (same contract as VerifyServer) ----------------------
-
-    def _on_event(self, event):
-        self.events_published += 1
-        if event.job is None:
-            return
-        payload = event.as_dict()
-        history = self._history.setdefault(event.job, [])
-        history.append(payload)
-        if len(history) > self.history_limit:
-            del history[:len(history) - self.history_limit]
-            self.events_dropped += 1
-        for queue in self._watchers.get(event.job, ()):
-            queue.put_nowait(payload)
-
-    def _notify_terminal(self, job_id):
-        for queue in self._watchers.get(job_id, ()):
-            queue.put_nowait(None)
-
-    # -- lifecycle ----------------------------------------------------------
-
-    async def start(self):
-        self._started_at = time.monotonic()
-        self._stop_event = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=self.host, port=self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._pump_task = asyncio.ensure_future(self._pump())
-        self.bus.emit(SERVER_STARTED, role="coordinator", host=self.host,
-                      port=self.port, pid=os.getpid(),
-                      jobs_recovered=len(self.store))
-        if self.ready_file:
-            payload = {"host": self.host, "port": self.port,
-                       "pid": os.getpid(), "url": self.url(),
-                       "role": "coordinator"}
-            tmp = self.ready_file + ".tmp"
-            with open(tmp, "w") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, self.ready_file)
-
-    def url(self):
-        host = "127.0.0.1" if self.host in ("", "0.0.0.0") else self.host
-        return "http://{}:{}".format(host, self.port)
-
-    def request_stop(self):
-        if self._stop_event is not None:
-            self._stop_event.set()
-
-    async def serve_forever(self):
-        await self.start()
-        loop = asyncio.get_event_loop()
-        installed = []
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, self.request_stop)
-                installed.append(signum)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
-        try:
-            await self._stop_event.wait()
-        finally:
-            for signum in installed:
-                loop.remove_signal_handler(signum)
-            await self.stop()
 
     async def stop(self):
-        """Graceful shutdown.
+        """Let go of the relay tails.
 
         Dispatched jobs keep running on their workers; the records stay
         RUNNING on disk and a restarted coordinator re-attaches its relay
@@ -221,31 +115,9 @@ class CoordinatorServer:
         same resume-where-the-queue-left-off semantics as the single
         daemon, extended across the fleet.
         """
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for task in [self._pump_task] + list(self._tails.values()):
-            if task is None:
-                continue
-            task.cancel()
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
+        for task in list(self._tails.values()):
+            await cancel_task(task)
         self._tails.clear()
-        self.bus.emit(SERVER_STOPPED, role="coordinator", host=self.host,
-                      port=self.port, uptime_seconds=self._uptime())
-        for job_id in list(self._watchers):
-            self._notify_terminal(job_id)
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.wait(list(self._connections))
-
-    def _uptime(self):
-        if self._started_at is None:
-            return 0.0
-        return time.monotonic() - self._started_at
 
     # -- membership ---------------------------------------------------------
 
@@ -267,7 +139,11 @@ class CoordinatorServer:
         return node
 
     def _node_died(self, node_id, reason):
-        """Mark a node dead and requeue every job it owned.
+        self._node_gone(node_id, NODE_DIED, "node {} died: {}".format(
+            node_id, reason), reason=reason)
+
+    def _node_gone(self, node_id, event, requeue_reason, **fields):
+        """Mark a node dead or departed and requeue every job it owned.
 
         Synchronous on purpose: a relay tail may call this about its own
         node, and the requeue (including cancelling that very tail) must
@@ -277,40 +153,27 @@ class CoordinatorServer:
         if node is None or not node.alive:
             return
         node.alive = False
-        self.bus.emit(NODE_DIED, node=node_id, url=node.url, reason=reason,
-                      alive_nodes=len(self.alive_nodes()))
+        self.bus.emit(event, node=node_id, url=node.url,
+                      alive_nodes=len(self.alive_nodes()), **fields)
         for record in self.store.all():
-            if record.terminal or record.meta.get("node") != node_id:
-                continue
-            self._requeue(record, "node {} died: {}".format(node_id, reason))
+            if not record.terminal and record.meta.get("node") == node_id:
+                self._requeue(record, requeue_reason)
 
     def _requeue(self, record, reason):
         tail = self._tails.pop(record.id, None)
         if tail is not None:
             tail.cancel()
-        record.state = store_mod.QUEUED
-        record.started_at = None
-        record.requeues += 1
         record.meta.pop("node", None)
         record.meta.pop("remote_id", None)
-        self.store.save(record)
         self.requeues += 1
-        self.bus.emit(JOB_REQUEUED, job=record.id, name=record.name,
-                      requeues=record.requeues, reason=reason)
+        self.front.requeue(record, reason)
 
     # -- the dispatch pump --------------------------------------------------
 
-    async def _pump(self):
-        while True:
-            try:
-                self._reap()
-                await self._dispatch_queued()
-                self._ensure_tails()
-            except asyncio.CancelledError:
-                raise
-            except Exception:
-                pass  # the pump must survive one bad record/node
-            await asyncio.sleep(self.poll_interval)
+    async def step(self):
+        self._reap()
+        await self._dispatch_queued()
+        self._ensure_tails()
 
     def _reap(self):
         now = time.monotonic()
@@ -352,9 +215,9 @@ class CoordinatorServer:
                 continue  # worker backpressure: retry next pump round
             if status != 202:
                 self.dispatch_failures += 1
-                self._mark_error(record, "node {} rejected dispatch: "
-                                 "{} {}".format(node.id, status,
-                                                payload.get("error")))
+                self.front.mark_error(record, "node {} rejected dispatch: "
+                                      "{} {}".format(node.id, status,
+                                                     payload.get("error")))
                 continue
             record.meta["node"] = node.id
             record.meta["remote_id"] = payload["id"]
@@ -369,13 +232,6 @@ class CoordinatorServer:
 
     def _proxy_headers(self, record):
         return {"X-Forwarded-For": record.client or "unknown"}
-
-    def _mark_error(self, record, message):
-        record.state = store_mod.ERROR
-        record.error = message
-        record.finished_at = time.time()
-        self.store.save(record)
-        self._notify_terminal(record.id)
 
     def _ensure_tails(self):
         """Re-attach relay tails to running jobs that lost theirs.
@@ -394,8 +250,7 @@ class CoordinatorServer:
                 # Grace for coordinator restart: the node may rejoin
                 # within a heartbeat interval; requeue once it is
                 # formally dead or was never seen for dead_after.
-                age = self._uptime()
-                if age is not None and age > self.dead_after:
+                if self.front.uptime() > self.dead_after:
                     self._requeue(record, "owning node {} not in fleet"
                                   .format(record.meta.get("node")))
                 continue
@@ -421,6 +276,7 @@ class CoordinatorServer:
         """
         seen = 0
         failures = 0
+        read_timeout = max(60.0, self.front.sse_heartbeat * 6)
         try:
             while True:
                 record = self.store.get(job_id)
@@ -435,9 +291,12 @@ class CoordinatorServer:
                 url = "{}/v1/jobs/{}/events".format(node.url, remote_id)
                 replayed = 0
                 try:
-                    async for event_type, payload in sse_events(
-                            url, read_timeout=max(60.0,
-                                                  self.sse_heartbeat * 6)):
+                    async for event_type, data in sse_events(
+                            url, read_timeout=read_timeout):
+                        try:
+                            payload = json.loads(data)
+                        except ValueError:
+                            continue
                         failures = 0
                         if event_type == "done":
                             self._absorb_terminal(job_id, payload)
@@ -464,8 +323,6 @@ class CoordinatorServer:
                                             failures))
                         return
                 await asyncio.sleep(min(0.2 * (failures + 1), 1.0))
-        except asyncio.CancelledError:
-            raise
         finally:
             if self._tails.get(job_id) is asyncio.current_task():
                 self._tails.pop(job_id, None)
@@ -486,121 +343,71 @@ class CoordinatorServer:
         state = worker_record.get("state")
         if state not in store_mod.TERMINAL_STATES:
             return
-        record.state = state
         record.result = worker_record.get("result")
         record.error = worker_record.get("error")
         record.cached = bool(worker_record.get("cached"))
         record.requeues = max(record.requeues,
                               worker_record.get("requeues", 0))
-        record.finished_at = time.time()
-        self.store.save(record)
-        self._notify_terminal(job_id)
+        # No event: the worker's own terminal event was relayed already.
+        self.front.finish(record, state)
 
-    # -- HTTP ---------------------------------------------------------------
+    # -- the front end's hooks ----------------------------------------------
 
-    async def _handle_connection(self, reader, writer):
-        task = asyncio.current_task()
-        self._connections.add(task)
-        try:
-            await self._serve_one(reader, writer)
-        except (asyncio.CancelledError, asyncio.TimeoutError,
-                ConnectionError):
-            pass
-        except Exception:
+    async def cancel(self, record):
+        node = self.nodes.get(record.meta.get("node"))
+        remote_id = record.meta.get("remote_id")
+        if node is not None and node.alive and remote_id:
             try:
-                writer.write(error_response(
-                    HttpError(500, "internal server error")))
-            except Exception:
-                pass
-        finally:
-            self._connections.discard(task)
-            try:
-                writer.close()
-            except Exception:
-                pass
+                await request_json(
+                    "DELETE", "{}/v1/jobs/{}".format(node.url, remote_id),
+                    headers=self._proxy_headers(record),
+                    connect_timeout=self.dispatch_timeout,
+                    read_timeout=self.dispatch_timeout)
+            except AsyncHttpError:
+                self._node_died(node.id, "cancel connection failed")
+        # The relay tail absorbs the worker's terminal cancelled record;
+        # if the node is gone the requeue path re-dispatches and the
+        # cancel is lost with the node — report the live state.
+        fresh = self.store.get(record.id)
+        return {"id": record.id,
+                "state": fresh.state if fresh else "cancelling"}
 
-    async def _serve_one(self, reader, writer):
-        peername = writer.get_extra_info("peername")
-        peer = peername[0] if peername else "unknown"
-        try:
-            request = await read_request(reader, peer=peer,
-                                         timeout=self.request_timeout)
-        except HttpError as exc:
-            writer.write(error_response(exc))
-            await writer.drain()
-            return
-        if request is None:
-            return
-        try:
-            response = await self._route(request, writer)
-        except HttpError as exc:
-            response = error_response(exc)
-        if response is not None:
-            writer.write(response)
-            await writer.drain()
+    def admit(self, raw, payload):
+        meta = {"routing_key": routing_key(payload)}
+        pin = raw.get("pin_node")
+        if pin is not None:
+            if str(pin) not in self.nodes:
+                raise HttpError(400, "pin_node {!r} is not a registered "
+                                     "node".format(pin))
+            meta["pin"] = str(pin)
+        return meta
 
-    async def _route(self, request, writer):
-        path, method = request.path, request.method
-        if path == "/v1/healthz":
-            if method != "GET":
-                raise HttpError(405, "method not allowed")
-            return json_response(200, {
-                "status": "ok", "role": "coordinator",
-                "uptime_seconds": self._uptime(),
-                "nodes": {"alive": len(self.alive_nodes()),
-                          "total": len(self.nodes)}})
-        if path.startswith("/v1/nodes"):
-            # Membership and heartbeats are fleet-internal traffic:
-            # never rate-limited (a throttled heartbeat would look like
-            # a death and requeue a healthy node's jobs).
-            return await self._route_nodes(request)
-        if path.startswith("/v1/cache/"):
-            # Cache sync is likewise internal worker traffic.
+    def describe(self, record, data):
+        data["node"] = record.meta.get("node")
+        return data
+
+    def info(self):
+        return {"nodes": {"alive": len(self.alive_nodes()),
+                          "total": len(self.nodes)}}
+
+    def stats(self):
+        nodes = self.info()["nodes"]
+        nodes["detail"] = [node.as_dict() for node in self.nodes.values()]
+        return {"nodes": nodes, "requeues": self.requeues,
+                "dispatch_failures": self.dispatch_failures,
+                "tails": len(self._tails)}
+
+    def route(self, request):
+        # Membership, heartbeats and cache sync are fleet-internal
+        # traffic: never rate-limited (a throttled heartbeat would look
+        # like a death and requeue a healthy node's jobs).
+        if request.path.startswith("/v1/nodes"):
+            return self._route_nodes(request)
+        if request.path.startswith("/v1/cache/"):
             return self._route_cache(request)
-        self._throttle(request)
-        if path == "/v1/stats":
-            if method != "GET":
-                raise HttpError(405, "method not allowed")
-            return json_response(200, self.stats())
-        if path == "/v1/jobs":
-            if method == "POST":
-                return self._submit(request)
-            if method == "GET":
-                return json_response(200, {
-                    "jobs": [self._summary(r) for r in self.store.all()]})
-            raise HttpError(405, "method not allowed")
-        if path.startswith("/v1/jobs/"):
-            rest = path[len("/v1/jobs/"):]
-            job_id, _, tail = rest.partition("/")
-            record = self.store.get(job_id)
-            if record is None:
-                raise HttpError(404, "no such job {!r}".format(job_id))
-            if tail == "events":
-                if method != "GET":
-                    raise HttpError(405, "method not allowed")
-                await self._stream_events(record, writer)
-                return None
-            if tail:
-                raise HttpError(404, "unknown resource {!r}".format(tail))
-            if method == "GET":
-                return json_response(200, self._public_dict(record))
-            if method == "DELETE":
-                return await self._cancel(record)
-            raise HttpError(405, "method not allowed")
-        raise HttpError(404, "unknown path {!r}".format(path))
+        return None
 
-    def _throttle(self, request):
-        wait = self.limiter.check(request.peer)
-        if wait > 0.0:
-            retry_after = max(1, int(math.ceil(min(wait, 3600.0))))
-            self.bus.emit(CLIENT_THROTTLED, client=request.peer,
-                          path=request.path, retry_after=retry_after)
-            raise HttpError(429, "rate limit exceeded",
-                            headers={"Retry-After": str(retry_after)})
-
-    # -- membership routes --------------------------------------------------
-
-    async def _route_nodes(self, request):
+    def _route_nodes(self, request):
         path, method = request.path, request.method
         if path == "/v1/nodes":
             if method == "GET":
@@ -618,8 +425,8 @@ class CoordinatorServer:
                     "id": node_id,
                     "heartbeat_interval": self.heartbeat_interval,
                     "dead_after": self.dead_after,
-                    "cache_url": self.url() if self.cache is not None
-                    else None})
+                    "cache_url": self.front.url()
+                    if self.front.cache is not None else None})
             raise HttpError(405, "method not allowed")
         rest = path[len("/v1/nodes/"):]
         node_id, _, tail = rest.partition("/")
@@ -642,28 +449,20 @@ class CoordinatorServer:
             node = self.nodes.get(node_id)
             if node is None:
                 raise HttpError(404, "unknown node {!r}".format(node_id))
-            if node.alive:
-                node.alive = False
-                self.bus.emit(NODE_LEFT, node=node_id, url=node.url,
-                              alive_nodes=len(self.alive_nodes()))
-                for record in self.store.all():
-                    if (not record.terminal
-                            and record.meta.get("node") == node_id):
-                        self._requeue(record, "node {} left".format(node_id))
+            self._node_gone(node_id, NODE_LEFT, "node {} left".format(node_id))
             return json_response(200, {"id": node_id, "alive": False})
         raise HttpError(405, "method not allowed")
 
-    # -- cache routes -------------------------------------------------------
-
     def _route_cache(self, request):
-        if self.cache is None:
+        cache = self.front.cache
+        if cache is None:
             raise HttpError(503, "coordinator has no shared cache")
         key = request.path[len("/v1/cache/"):]
         if not key or len(key) > 128 or not all(
                 c in "0123456789abcdef" for c in key):
             raise HttpError(400, "cache keys are lowercase hex digests")
         if request.method == "GET":
-            result = self.cache.get(key)
+            result = cache.get(key)
             if result is None:
                 raise HttpError(404, "no entry for {}".format(key))
             return json_response(200, {
@@ -679,170 +478,24 @@ class CoordinatorServer:
                 result = SecResult.from_dict(body["result"])
             except (KeyError, TypeError, ValueError):
                 raise HttpError(400, "body must carry a SecResult dict")
-            self.cache.put(key, result, meta=body.get("meta"))
+            cache.put(key, result, meta=body.get("meta"))
             return json_response(200, {"key": key, "stored": True})
         raise HttpError(405, "method not allowed")
 
-    # -- job routes ---------------------------------------------------------
 
-    def _submit(self, request):
-        from ..server.app import validate_payload
+class CoordinatorServer(JobFrontEnd):
+    """The coordinator: the job front end over a :class:`FleetExecutor`."""
 
-        body = request.json()
-        many = isinstance(body, dict) and "jobs" in body
-        payloads = body["jobs"] if many else [body]
-        if not isinstance(payloads, list) or not payloads:
-            raise HttpError(400, "'jobs' must be a non-empty list")
-        prepared = []
-        for payload in payloads:
-            if not isinstance(payload, dict):
-                raise HttpError(400, "job payload must be a JSON object")
-            pin = payload.pop("pin_node", None)
-            if pin is not None and str(pin) not in self.nodes:
-                raise HttpError(400, "pin_node {!r} is not a registered "
-                                     "node".format(pin))
-            prepared.append((validate_payload(payload), pin))
-        counts = self.store.counts()
-        backlog = counts[store_mod.QUEUED] + counts[store_mod.RUNNING]
-        if backlog + len(prepared) > self.queue_limit:
-            self.bus.emit(CLIENT_THROTTLED, client=request.peer,
-                          path=request.path, reason="queue full",
-                          backlog=backlog)
-            raise HttpError(429, "job queue is full ({} of {})".format(
-                backlog, self.queue_limit),
-                headers={"Retry-After": "2"})
-        ids = []
-        for payload, pin in prepared:
-            record = self.store.create(payload, client=request.peer)
-            record.meta["routing_key"] = routing_key(payload)
-            if pin is not None:
-                record.meta["pin"] = str(pin)
-            self.store.save(record)
-            ids.append(record.id)
-            self.bus.emit(JOB_SUBMITTED, job=record.id, name=record.name,
-                          method=payload["method"], client=request.peer)
-        response = {"ids": ids} if many else {"id": ids[0]}
-        response["state"] = store_mod.QUEUED
-        return json_response(202, response)
-
-    async def _cancel(self, record):
-        if record.terminal:
-            return json_response(
-                200, {"id": record.id, "state": record.state,
-                      "detail": "already terminal"})
-        if record.state == store_mod.QUEUED:
-            record.state = store_mod.CANCELLED
-            record.finished_at = time.time()
-            self.store.save(record)
-            self._notify_terminal(record.id)
-            return json_response(200, {"id": record.id,
-                                       "state": record.state})
-        node = self.nodes.get(record.meta.get("node"))
-        remote_id = record.meta.get("remote_id")
-        if node is not None and node.alive and remote_id:
-            try:
-                await request_json(
-                    "DELETE", "{}/v1/jobs/{}".format(node.url, remote_id),
-                    headers=self._proxy_headers(record),
-                    connect_timeout=self.dispatch_timeout,
-                    read_timeout=self.dispatch_timeout)
-            except AsyncHttpError:
-                self._node_died(node.id, "cancel connection failed")
-        # The relay tail absorbs the worker's terminal cancelled record;
-        # if the node is gone the requeue path re-dispatches and the
-        # cancel is lost with the node — report the live state.
-        fresh = self.store.get(record.id)
-        return json_response(202, {"id": record.id,
-                                   "state": fresh.state if fresh
-                                   else "cancelling"})
-
-    def _public_dict(self, record):
-        data = record.public_dict()
-        data["node"] = record.meta.get("node")
-        return data
-
-    def _summary(self, record):
-        return {
-            "id": record.id,
-            "name": record.name,
-            "method": record.payload.get("method"),
-            "state": record.state,
-            "node": record.meta.get("node"),
-            "cached": record.cached,
-            "requeues": record.requeues,
-            "submitted_at": record.submitted_at,
-            "finished_at": record.finished_at,
-        }
-
-    async def _stream_events(self, record, writer):
-        queue = asyncio.Queue()
-        watchers = self._watchers.setdefault(record.id, set())
-        watchers.add(queue)
-        history = list(self._history.get(record.id, []))
-        terminal = record.terminal
-        try:
-            sse = SseWriter(writer, write_timeout=self.sse_write_timeout)
-            await sse.start()
-            for payload in history:
-                await sse.event(payload, payload.get("type"))
-            if terminal:
-                await sse.event(self._public_dict(record), "done")
-                return
-            while True:
-                try:
-                    item = await asyncio.wait_for(queue.get(),
-                                                  self.sse_heartbeat)
-                except asyncio.TimeoutError:
-                    await sse.comment()
-                    continue
-                if item is None:
-                    fresh = self.store.get(record.id)
-                    await sse.event(
-                        self._public_dict(fresh) if fresh
-                        else {"id": record.id}, "done")
-                    return
-                await sse.event(item, item.get("type"))
-        finally:
-            watchers.discard(queue)
-            if not watchers:
-                self._watchers.pop(record.id, None)
-
-    # -- stats --------------------------------------------------------------
-
-    def stats(self):
-        counts = self.store.counts()
-        cache_stats = None
-        if self.cache is not None:
-            cache_stats = self.cache.stats()
-            lookups = cache_stats["hits"] + cache_stats["misses"]
-            cache_stats["hit_rate"] = (
-                cache_stats["hits"] / lookups if lookups else None)
-        return {
-            "role": "coordinator",
-            "uptime_seconds": self._uptime(),
-            "jobs": counts,
-            "queue_limit": self.queue_limit,
-            "nodes": {"alive": len(self.alive_nodes()),
-                      "total": len(self.nodes),
-                      "detail": [node.as_dict()
-                                 for node in self.nodes.values()]},
-            "requeues": self.requeues,
-            "dispatch_failures": self.dispatch_failures,
-            "tails": len(self._tails),
-            "cache": cache_stats,
-            "events": {"published": self.events_published,
-                       "dropped": self.events_dropped},
-            "rate_limit": {"rejected": self.limiter.rejected,
-                           "rate": self.limiter.rate,
-                           "burst": self.limiter.burst},
-        }
-
-
-def serve_coordinator(host="127.0.0.1", port=8440, **kwargs):
-    """Blocking entry for ``repro-sec serve --coordinator``; returns 0."""
-    server = CoordinatorServer(host=host, port=port, **kwargs)
-    try:
-        asyncio.run(server.serve_forever())
-    except KeyboardInterrupt:  # pragma: no cover - non-POSIX fallback path
-        pass
-    return 0
+    def __init__(self, host="127.0.0.1", port=0, store_dir=None,
+                 cache_dir=None, cache_max_entries=None, cache_max_bytes=None,
+                 queue_limit=256, rate=50.0, burst=100, request_timeout=10.0,
+                 sse_heartbeat=10.0, sse_write_timeout=10.0,
+                 dead_after=6.0, heartbeat_interval=2.0, poll_interval=0.05,
+                 dispatch_timeout=10.0, history_limit=2000, bus=None,
+                 ready_file=None):
+        super(CoordinatorServer, self).__init__(
+            FleetExecutor(dead_after, heartbeat_interval, dispatch_timeout),
+            host, port, store_dir or ".repro-coordinator", cache_dir,
+            cache_max_entries, cache_max_bytes, queue_limit, rate, burst,
+            request_timeout, sse_heartbeat, sse_write_timeout,
+            poll_interval, history_limit, bus, ready_file)

@@ -18,8 +18,8 @@ the operator's event stream shows membership next to job traffic.
 
 import asyncio
 
+from ..server.httpd import AsyncHttpError, request_json
 from ..service.events import NODE_JOINED, NODE_LEFT
-from .ahttp import AsyncHttpError, request_json
 
 __all__ = ["FleetMember"]
 
@@ -40,12 +40,15 @@ class FleetMember:
         self.heartbeats = 0
         self.failures = 0
 
+    def _call(self, method, path, body=None):
+        return request_json(method, self.coordinator_url + path, body=body,
+                            connect_timeout=self.request_timeout,
+                            read_timeout=self.request_timeout)
+
     async def _join(self):
-        status, payload = await request_json(
-            "POST", self.coordinator_url + "/v1/nodes",
-            body={"id": self.node_id, "url": self.advertise_url},
-            connect_timeout=self.request_timeout,
-            read_timeout=self.request_timeout)
+        status, payload = await self._call(
+            "POST", "/v1/nodes",
+            body={"id": self.node_id, "url": self.advertise_url})
         if status != 200:
             raise AsyncHttpError("join rejected: {} {}".format(
                 status, payload.get("error")), status=status)
@@ -56,12 +59,9 @@ class FleetMember:
                       url=self.advertise_url, rejoin=self.joins > 1)
 
     async def _heartbeat(self):
-        status, _ = await request_json(
-            "POST", "{}/v1/nodes/{}/heartbeat".format(
-                self.coordinator_url, self.node_id),
-            body={"url": self.advertise_url},
-            connect_timeout=self.request_timeout,
-            read_timeout=self.request_timeout)
+        status, _ = await self._call(
+            "POST", "/v1/nodes/{}/heartbeat".format(self.node_id),
+            body={"url": self.advertise_url})
         if status == 404:
             # The coordinator no longer knows us (restart, or it reaped
             # us during a partition): fall back to a full rejoin.
@@ -85,8 +85,6 @@ class FleetMember:
                     await self._join()
                 else:
                     await self._heartbeat()
-            except asyncio.CancelledError:
-                raise
             except AsyncHttpError:
                 self.failures += 1
                 self.joined = False
@@ -99,11 +97,7 @@ class FleetMember:
         if not self.joined:
             return
         try:
-            await request_json(
-                "DELETE", "{}/v1/nodes/{}".format(self.coordinator_url,
-                                                  self.node_id),
-                connect_timeout=self.request_timeout,
-                read_timeout=self.request_timeout)
+            await self._call("DELETE", "/v1/nodes/{}".format(self.node_id))
         except (AsyncHttpError, Exception):
             return
         finally:

@@ -5,10 +5,17 @@ jobs over HTTP, runs them on the service layer's worker processes, persists
 the queue across restarts and streams each job's progress events live over
 Server-Sent Events.  :mod:`repro.client` is the matching remote client.
 
+Layout: :mod:`.frontend` is the job API both ``serve`` roles share
+over an executor; :mod:`.app` is the daemon role (its local executor,
+:class:`VerifyServer`, the :func:`serve` entry for either role);
+:mod:`.httpd` is HTTP/SSE for servers and the async client;
+:mod:`.store` the locked job store; :mod:`.ratelimit` token buckets.
+
 See ``docs/SERVER.md`` for the API reference and lifecycle semantics.
 """
 
-from .app import VerifyServer, build_jobspec, serve, validate_payload
+from .app import VerifyServer, build_jobspec, serve
+from .frontend import validate_payload
 from .httpd import HttpError, parse_sse_stream
 from .ratelimit import RateLimiter, TokenBucket
 from .store import (
@@ -19,6 +26,7 @@ from .store import (
     JobStore,
     QUEUED,
     RUNNING,
+    StoreLocked,
     TERMINAL_STATES,
 )
 
@@ -32,6 +40,7 @@ __all__ = [
     "QUEUED",
     "RUNNING",
     "RateLimiter",
+    "StoreLocked",
     "TERMINAL_STATES",
     "TokenBucket",
     "VerifyServer",

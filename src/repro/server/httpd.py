@@ -1,11 +1,23 @@
-"""Minimal stdlib-only HTTP/1.1 plumbing for the asyncio daemon.
+"""Minimal stdlib-only HTTP/1.1 plumbing for the asyncio servers.
 
-Just enough of the protocol for a JSON API plus Server-Sent Events:
-request parsing off an :class:`asyncio.StreamReader` (with a read
-timeout and body-size cap, so a stalled or hostile client cannot pin a
-connection), response serialization, and an SSE writer with heartbeats
-and a write timeout (a stuck consumer is disconnected instead of
-wedging the daemon's event fan-out).
+Just enough of the protocol for a JSON API plus Server-Sent Events, on
+both ends of a connection:
+
+* **Server side** — request parsing off an :class:`asyncio.StreamReader`
+  (with a read timeout and body-size cap, so a stalled or hostile client
+  cannot pin a connection), response serialization, and an SSE writer
+  with heartbeats and a write timeout (a stuck consumer is disconnected
+  instead of wedging the event fan-out).
+* **Client side** — the coordinator must never block its event loop on
+  a worker call, and the stdlib ships no async HTTP client, so
+  :func:`request_json` and :func:`sse_events` speak just enough of the
+  protocol to talk to another daemon.  Their timeouts are per I/O step,
+  not per request: an SSE stream stays open for the life of a job, but a
+  read that stalls past ``read_timeout`` (the daemon heartbeats every few
+  seconds, so silence means trouble) fails the call.
+
+One SSE frame parser, :func:`parse_sse_stream`, serves the synchronous
+:mod:`repro.client` and the async :func:`read_sse` alike.
 
 Connections are ``Connection: close`` — one request per connection keeps
 the state machine trivial and matches the stdlib ``urllib`` client the
@@ -14,7 +26,9 @@ ends or the client goes away.
 """
 
 import asyncio
+import contextlib
 import json
+import urllib.parse
 
 #: Reason phrases for the handful of statuses the API uses.
 _REASONS = {
@@ -27,6 +41,7 @@ _REASONS = {
 
 MAX_REQUEST_LINE = 8192
 MAX_HEADER_COUNT = 64
+_MAX_RESPONSE = 64 * 1024 * 1024
 
 
 class HttpError(Exception):
@@ -131,20 +146,23 @@ async def read_request(reader, peer=None, timeout=10.0,
     return Request(method.upper(), target, headers, body, peer=peer)
 
 
+def _head(start_line, fields, extra=None):
+    """A message head: start line, ``Name: value`` fields, blank line."""
+    lines = [start_line]
+    for name, value in list(fields.items()) + list((extra or {}).items()):
+        lines.append("{}: {}".format(name, value))
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+
+
 def response_bytes(status, body=b"", content_type="application/json",
                    headers=None):
     """Serialize a full ``Connection: close`` response."""
     if isinstance(body, str):
         body = body.encode("utf-8")
-    lines = [
+    return _head(
         "HTTP/1.1 {} {}".format(status, _REASONS.get(status, "Unknown")),
-        "Content-Type: {}".format(content_type),
-        "Content-Length: {}".format(len(body)),
-        "Connection: close",
-    ]
-    for name, value in (headers or {}).items():
-        lines.append("{}: {}".format(name, value))
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+        {"Content-Type": content_type, "Content-Length": len(body),
+         "Connection": "close"}, headers) + body
 
 
 def json_response(status, payload, headers=None):
@@ -171,15 +189,9 @@ class SseWriter:
         self.write_timeout = write_timeout
 
     async def start(self, headers=None):
-        lines = [
-            "HTTP/1.1 200 OK",
-            "Content-Type: text/event-stream",
-            "Cache-Control: no-cache",
-            "Connection: close",
-        ]
-        for name, value in (headers or {}).items():
-            lines.append("{}: {}".format(name, value))
-        await self._write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
+        await self._write(_head("HTTP/1.1 200 OK", {
+            "Content-Type": "text/event-stream", "Cache-Control": "no-cache",
+            "Connection": "close"}, headers))
 
     async def event(self, payload, event_type=None):
         """Send one event; ``payload`` is JSON-serialized into ``data:``."""
@@ -227,3 +239,165 @@ def parse_sse_stream(lines):
             data_parts.append(value)
     if data_parts:
         yield event_type, "\n".join(data_parts)
+
+
+async def read_sse(reader, read_timeout):
+    """:func:`parse_sse_stream` over an asyncio StreamReader.
+
+    Lines are buffered up to each frame's blank line and handed to that
+    parser.  A read stalled past ``read_timeout`` raises
+    :class:`AsyncHttpError`.
+    """
+    frame = []
+    while True:
+        try:
+            raw = await asyncio.wait_for(reader.readline(), read_timeout)
+        except asyncio.TimeoutError:
+            raise AsyncHttpError("SSE stream stalled (no heartbeat)")
+        line = raw.decode("utf-8", "replace")
+        if line:
+            frame.append(line)
+        if not line.strip("\r\n"):
+            for event in parse_sse_stream(frame):
+                yield event
+            if not raw:
+                return  # the server closed the stream
+            frame = []
+
+
+# -- the async client -------------------------------------------------------
+
+class AsyncHttpError(Exception):
+    """A call that failed at the transport or HTTP layer.
+
+    ``status`` is the HTTP status code when the failure was an error
+    response, or ``None`` for connection-level trouble.
+    """
+
+    def __init__(self, message, status=None):
+        super(AsyncHttpError, self).__init__(message)
+        self.status = status
+
+
+def _split(url):
+    parsed = urllib.parse.urlsplit(url)
+    if parsed.scheme != "http":
+        raise AsyncHttpError("only http:// urls are supported: " + url)
+    host = parsed.hostname or "127.0.0.1"
+    port = parsed.port or 80
+    target = parsed.path or "/"
+    if parsed.query:
+        target += "?" + parsed.query
+    return host, port, target
+
+
+def _request_bytes(method, host, target, body, headers):
+    fields = dict(headers or {})
+    payload = b""
+    if body is not None:
+        payload = json.dumps(body).encode("utf-8")
+        fields.update({"Content-Type": "application/json",
+                       "Content-Length": len(payload)})
+    return _head("{} {} HTTP/1.1".format(method, target), {
+        "Host": host, "Accept": "application/json", "Connection": "close"},
+        fields) + payload
+
+
+async def _read_head(reader, timeout):
+    """Read and parse the status line + header block."""
+    try:
+        head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), timeout)
+    except asyncio.IncompleteReadError as exc:
+        raise AsyncHttpError("connection closed mid-response: {!r}".format(
+            exc.partial[:128]))
+    except asyncio.TimeoutError:
+        raise AsyncHttpError("timed out reading response head")
+    except asyncio.LimitOverrunError:
+        raise AsyncHttpError("response head too large")
+    lines = head.decode("latin-1").split("\r\n")
+    try:
+        status = int(lines[0].split()[1])
+    except (IndexError, ValueError):
+        raise AsyncHttpError("malformed status line: {!r}".format(lines[0]))
+    headers = {}
+    for line in lines[1:]:
+        if not line:
+            continue
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status, headers
+
+
+@contextlib.asynccontextmanager
+async def _exchange(method, url, body, headers, connect_timeout,
+                    read_timeout):
+    """Send one request; yields ``(reader, status, response_headers)``
+    with the connection open until the block exits."""
+    host, port, target = _split(url)
+    try:
+        reader, writer = await asyncio.wait_for(
+            asyncio.open_connection(host, port), connect_timeout)
+    except (OSError, asyncio.TimeoutError) as exc:
+        raise AsyncHttpError("cannot connect to {}: {}".format(url, exc))
+    try:
+        writer.write(_request_bytes(method, host, target, body, headers))
+        await asyncio.wait_for(writer.drain(), connect_timeout)
+        status, response_headers = await _read_head(reader, read_timeout)
+        yield reader, status, response_headers
+    finally:
+        try:
+            writer.close()
+        except Exception:
+            pass
+
+
+async def request_json(method, url, body=None, headers=None,
+                       connect_timeout=5.0, read_timeout=30.0):
+    """One JSON request; returns ``(status, payload_dict)``.
+
+    Raises :class:`AsyncHttpError` only for transport-level trouble —
+    HTTP error statuses are returned to the caller, which knows whether a
+    404 (job unknown on this node) or 429 (backpressure) is actionable.
+    """
+    async with _exchange(method, url, body, headers, connect_timeout,
+                         read_timeout) as (reader, status, response_headers):
+        length = response_headers.get("content-length")
+        try:
+            if length is not None:
+                size = int(length)
+                if size > _MAX_RESPONSE:
+                    raise AsyncHttpError("response body too large")
+                raw = await asyncio.wait_for(reader.readexactly(size),
+                                             read_timeout)
+            else:
+                raw = await asyncio.wait_for(reader.read(_MAX_RESPONSE),
+                                             read_timeout)
+        except (asyncio.TimeoutError, asyncio.IncompleteReadError):
+            raise AsyncHttpError("timed out reading response body")
+    payload = {}
+    if raw:
+        try:
+            payload = json.loads(raw.decode("utf-8"))
+        except (ValueError, UnicodeDecodeError):
+            raise AsyncHttpError(
+                "non-JSON response body (status {})".format(status))
+    return status, payload
+
+
+async def sse_events(url, headers=None, connect_timeout=5.0,
+                     read_timeout=60.0):
+    """Async generator of ``(event_type, data_str)`` from an SSE url.
+
+    The server's heartbeat comments keep the stream moving; a read that
+    stalls past ``read_timeout`` raises :class:`AsyncHttpError` so the
+    caller can treat the node as unresponsive.  Ends cleanly when the
+    server closes the stream.
+    """
+    async with _exchange("GET", url, None, headers, connect_timeout,
+                         read_timeout) as (reader, status, _):
+        if status != 200:
+            raise AsyncHttpError(
+                "SSE stream refused: status {}".format(status),
+                status=status)
+        async for event in read_sse(reader, read_timeout):
+            yield event

@@ -12,8 +12,13 @@ circuits as ``.bench`` text), not live :class:`~repro.netlist.Circuit`
 objects — rebuilding the :class:`~repro.service.job.JobSpec` is the
 daemon's task (see :func:`repro.server.app.build_jobspec`), which keeps
 records JSON-pure and restart-safe.
+
+A server holds its store :meth:`~JobStore.locked` (``flock`` on
+``<root>/lock``) until it stops: two servers on one directory would each
+load, and run, the other's queue.
 """
 
+import fcntl
 import json
 import os
 import tempfile
@@ -110,8 +115,28 @@ class JobRecord:
             self.id, self.state, self.name)
 
 
+class StoreLocked(RuntimeError):
+    """Another live server holds the store directory."""
+
+
+_held_locks = set()  # lock files of this process's locked stores
+
+
+def _drop_inherited_locks():
+    # A forked worker shares the daemon's lock; closing its copy keeps
+    # the daemon's hold but frees the store when the daemon dies.
+    for handle in _held_locks:
+        handle.close()
+    _held_locks.clear()
+
+
+os.register_at_fork(after_in_child=_drop_inherited_locks)
+
+
 class JobStore:
     """Disk-backed map of job id → :class:`JobRecord` with FIFO queue view."""
+
+    _lock = None  # the held lock file of a :meth:`locked` store
 
     def __init__(self, root):
         self.root = str(root)
@@ -120,6 +145,29 @@ class JobStore:
         self._records = {}
         self._counter = 0
         self._load()
+
+    @classmethod
+    def locked(cls, root):
+        """Open ``root`` for exclusive use; raises :class:`StoreLocked`."""
+        os.makedirs(str(root), exist_ok=True)
+        handle = open(os.path.join(str(root), "lock"), "a")
+        try:
+            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            handle.close()
+            raise StoreLocked("job store {} is in use by another server"
+                              .format(os.path.abspath(str(root))))
+        store = cls(root)
+        store._lock = handle
+        _held_locks.add(handle)
+        return store
+
+    def close(self):
+        """Release the :meth:`locked` hold (closing the file drops it)."""
+        if self._lock is not None:
+            _held_locks.discard(self._lock)
+            self._lock.close()
+            self._lock = None
 
     # -- loading / recovery -------------------------------------------------
 
@@ -146,12 +194,16 @@ class JobStore:
         requeued = []
         for record in self._records.values():
             if record.state == RUNNING:
-                record.state = QUEUED
-                record.started_at = None
-                record.requeues += 1
-                self.save(record)
+                self.requeue(record)
                 requeued.append(record)
         return requeued
+
+    def requeue(self, record):
+        """Put ``record`` back on the queue, counting the requeue."""
+        record.state = QUEUED
+        record.started_at = None
+        record.requeues += 1
+        self.save(record)
 
     # -- CRUD ---------------------------------------------------------------
 
@@ -160,8 +212,8 @@ class JobStore:
         return "j{:08d}-{}".format(self._counter,
                                    os.urandom(3).hex())
 
-    def create(self, payload, client=None):
-        record = JobRecord(self.new_id(), payload, client=client)
+    def create(self, payload, client=None, meta=None):
+        record = JobRecord(self.new_id(), payload, client=client, meta=meta)
         self._records[record.id] = record
         self.save(record)
         return record

@@ -4,7 +4,7 @@ Two deployment styles, matching the two test tiers:
 
 * :class:`LoopThread` runs a :class:`~repro.fleet.CoordinatorServer` or
   :class:`~repro.server.VerifyServer` in-process on a background event
-  loop (the :class:`tests.server.helpers.ServerThread` pattern), for
+  loop (shared with :mod:`tests.server.helpers`), for
   fast unit/integration tests that need to reach into server state.
 * :class:`FleetDaemon` runs a real ``repro-sec serve`` subprocess in its
   own process group — coordinator (``--coordinator``) or worker
@@ -12,14 +12,14 @@ Two deployment styles, matching the two test tiers:
   node must die by actual SIGKILL.
 """
 
-import asyncio
 import json
 import os
 import signal
 import subprocess
 import sys
-import threading
 import time
+
+from ..server.helpers import LoopThread  # noqa: F401  (re-export)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))))
@@ -88,40 +88,6 @@ def wait_state(client, job_id, states, timeout=60.0, poll=0.05):
                message="job {} to reach {} (last: {!r})".format(
                    job_id, states, record.get("state")))
     return dict(record)
-
-
-class LoopThread:
-    """Context manager: any ``start()/stop()`` server on its own loop."""
-
-    def __init__(self, server):
-        self.server = server
-        self.loop = None
-        self.thread = None
-
-    def __enter__(self):
-        self.loop = asyncio.new_event_loop()
-        started = threading.Event()
-
-        def run():
-            asyncio.set_event_loop(self.loop)
-            self.loop.run_until_complete(self.server.start())
-            started.set()
-            self.loop.run_forever()
-
-        self.thread = threading.Thread(target=run, name="fleet-loop",
-                                       daemon=True)
-        self.thread.start()
-        assert started.wait(10), "server failed to start"
-        return self.server
-
-    def __exit__(self, *exc_info):
-        future = asyncio.run_coroutine_threadsafe(self.server.stop(),
-                                                  self.loop)
-        future.result(timeout=30)
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self.thread.join(timeout=10)
-        self.loop.close()
-        return False
 
 
 class FleetDaemon:

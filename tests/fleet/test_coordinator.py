@@ -69,26 +69,26 @@ def test_membership_lifecycle(coordinator):
 
     status, left = api(url, "DELETE", "/v1/nodes/n1")
     assert status == 200 and left["alive"] is False
-    assert coordinator.alive_nodes() == []
+    assert coordinator.executor.alive_nodes() == []
 
     # Rejoining the same id revives it and counts the join.
     api(url, "POST", "/v1/nodes", {"id": "n1", "url": DEAD_URL})
-    assert coordinator.nodes["n1"].alive is True
-    assert coordinator.nodes["n1"].joins == 2
+    assert coordinator.executor.nodes["n1"].alive is True
+    assert coordinator.executor.nodes["n1"].joins == 2
 
 
 def test_heartbeat_reaper_declares_silent_node_dead(coordinator):
     api(coordinator.url(), "POST", "/v1/nodes",
         {"id": "silent", "url": DEAD_URL})
-    assert coordinator.nodes["silent"].alive is True
-    wait_until(lambda: not coordinator.nodes["silent"].alive,
+    assert coordinator.executor.nodes["silent"].alive is True
+    wait_until(lambda: not coordinator.executor.nodes["silent"].alive,
                timeout=5, message="reaper to declare the node dead")
     # A late heartbeat from the reaped node revives it as a rejoin.
     status, _ = api(coordinator.url(), "POST",
                     "/v1/nodes/silent/heartbeat", {})
     assert status == 200
-    assert coordinator.nodes["silent"].alive is True
-    assert coordinator.nodes["silent"].joins == 2
+    assert coordinator.executor.nodes["silent"].alive is True
+    assert coordinator.executor.nodes["silent"].joins == 2
 
 
 def test_pin_to_unknown_node_is_rejected(coordinator):
@@ -110,12 +110,12 @@ def test_unreachable_node_dies_on_dispatch_and_survivor_takes_over(
 
     # The dispatch attempt kills the fake node; the job never left the
     # queue (no requeue needed — it was never placed anywhere).
-    wait_until(lambda: not coordinator.nodes["doa"].alive,
+    wait_until(lambda: not coordinator.executor.nodes["doa"].alive,
                timeout=5, message="dispatch failure to kill the node")
     record = client.job(job_id)
     assert record["state"] == "queued"
     assert record["requeues"] == 0
-    assert coordinator.dispatch_failures >= 1
+    assert coordinator.executor.dispatch_failures >= 1
 
     # A real worker joins; the queued job drains to it.
     worker = VerifyServer(

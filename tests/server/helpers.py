@@ -13,15 +13,15 @@ from repro.server import VerifyServer
 
 from ..service.helpers import tiny_pair  # noqa: F401  (re-export)
 
+#: The two roles of the one job front end (``repro-sec serve``).
+ROLES = ("daemon", "coordinator")
 
-class ServerThread:
-    """Context manager: a live :class:`VerifyServer` on a background loop."""
 
-    def __init__(self, **kwargs):
-        kwargs.setdefault("host", "127.0.0.1")
-        kwargs.setdefault("port", 0)
-        kwargs.setdefault("poll_interval", 0.01)
-        self.server = VerifyServer(**kwargs)
+class LoopThread:
+    """Context manager: any ``start()/stop()`` server on its own loop."""
+
+    def __init__(self, server):
+        self.server = server
         self.loop = None
         self.thread = None
 
@@ -49,6 +49,51 @@ class ServerThread:
         self.thread.join(timeout=10)
         self.loop.close()
         return False
+
+
+class ServerThread(LoopThread):
+    """Context manager: a live :class:`VerifyServer` on a background loop."""
+
+    def __init__(self, **kwargs):
+        kwargs.setdefault("host", "127.0.0.1")
+        kwargs.setdefault("port", 0)
+        kwargs.setdefault("poll_interval", 0.01)
+        super(ServerThread, self).__init__(VerifyServer(**kwargs))
+
+
+def queued_front_end(role, store_dir, **kwargs):
+    """A live server of either role that keeps every job queued.
+
+    The daemon gets no worker slots and the coordinator no nodes, so the
+    shared job API (submit, list, cancel, stats, throttling) is exercised
+    on the same queue in both roles.  ``release_queue`` lets jobs move.
+    """
+    kwargs.update(host="127.0.0.1", port=0, poll_interval=0.01,
+                  store_dir=str(store_dir))
+    if role == "coordinator":
+        from repro.fleet import CoordinatorServer
+
+        return LoopThread(CoordinatorServer(**kwargs))
+    server = VerifyServer(workers=1, **kwargs)
+    server.executor.pool.workers = 0
+    return LoopThread(server)
+
+
+def release_queue(server):
+    """Let a :func:`queued_front_end` server take its queued jobs.
+
+    The daemon gets its worker slot back; the coordinator gets a node
+    that answers every dispatch with 404 (the coordinator itself, under
+    a path it does not serve), so dispatched jobs end in ``error``.
+    """
+    if server.executor.role == "coordinator":
+        from repro.client import ServerClient
+
+        ServerClient(server.url(), retries=0)._request(
+            "POST", "/v1/nodes",
+            body={"id": "rejecting", "url": server.url() + "/nowhere"})
+    else:
+        server.executor.pool.workers = 1
 
 
 def spinner_payload(name="spinner"):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.server import HttpError, parse_sse_stream
 from repro.server.httpd import (Request, error_response, json_response,
-                                read_request, response_bytes)
+                                read_request, read_sse, response_bytes)
 
 
 def parse(raw, **kwargs):
@@ -102,21 +102,23 @@ def test_json_and_error_responses():
     assert b"slow down" in raw
 
 
+SSE_LINES = [
+    ": keep-alive\n",
+    "event: job_progress\n",
+    "data: {\"depth\": 1}\n",
+    "\n",
+    "data: plain\n",
+    "data: second-line\n",
+    "\n",
+    ": another heartbeat\n",
+    "event: done\n",
+    "data: {}\n",
+    "\n",
+]
+
+
 def test_parse_sse_stream():
-    lines = [
-        ": keep-alive\n",
-        "event: job_progress\n",
-        "data: {\"depth\": 1}\n",
-        "\n",
-        "data: plain\n",
-        "data: second-line\n",
-        "\n",
-        ": another heartbeat\n",
-        "event: done\n",
-        "data: {}\n",
-        "\n",
-    ]
-    events = list(parse_sse_stream(lines))
+    events = list(parse_sse_stream(SSE_LINES))
     assert events == [
         ("job_progress", '{"depth": 1}'),
         (None, "plain\nsecond-line"),
@@ -127,3 +129,16 @@ def test_parse_sse_stream():
 def test_parse_sse_stream_flushes_trailing_event():
     events = list(parse_sse_stream(["data: tail\n"]))
     assert events == [(None, "tail")]
+
+
+@pytest.mark.parametrize("lines", [SSE_LINES, ["data: tail\n"]],
+                         ids=["frames", "trailing"])
+def test_async_sse_reader_matches_parse_sse_stream(lines):
+    """The relay's async reader and the sync client parse alike."""
+    async def go():
+        reader = asyncio.StreamReader()
+        reader.feed_data("".join(lines).encode())
+        reader.feed_eof()
+        return [event async for event in read_sse(reader, 1.0)]
+
+    assert asyncio.run(go()) == list(parse_sse_stream(lines))

@@ -2,6 +2,8 @@
 
 The server runs on a background thread (:class:`helpers.ServerThread`)
 while the test drives it synchronously through :class:`ServerClient`.
+Tests of the job API both ``serve`` roles share run against a daemon
+and a coordinator alike (:func:`helpers.queued_front_end`).
 """
 
 import pytest
@@ -9,7 +11,8 @@ import pytest
 from repro.client import ServerClient, ServerError, job_payload
 from repro.server import validate_payload, HttpError
 
-from .helpers import ServerThread, spinner_payload, tiny_pair
+from .helpers import (ROLES, ServerThread, queued_front_end, release_queue,
+                      spinner_payload, tiny_pair)
 
 
 def client_for(server, **kwargs):
@@ -145,57 +148,62 @@ def test_server_default_refine_workers_applied(tmp_path):
 
 
 def test_http_errors(tmp_path):
-    with ServerThread(store_dir=tmp_path) as server:
-        client = client_for(server)
-        with pytest.raises(ServerError) as excinfo:
-            client._request("GET", "/v1/nowhere")
-        assert excinfo.value.status == 404
-        with pytest.raises(ServerError) as excinfo:
-            client.job("j-unknown")
-        assert excinfo.value.status == 404
-        with pytest.raises(ServerError) as excinfo:
-            client._request("DELETE", "/v1/stats")
-        assert excinfo.value.status == 405
-        with pytest.raises(ServerError) as excinfo:
-            client._request("POST", "/v1/jobs", body={"method": "nope"})
-        assert excinfo.value.status == 400
-        with pytest.raises(ServerError) as excinfo:
-            client._request("POST", "/v1/jobs", body={"jobs": []})
-        assert excinfo.value.status == 400
+    for role in ROLES:
+        with queued_front_end(role, tmp_path / role) as server:
+            client = client_for(server)
+            with pytest.raises(ServerError) as excinfo:
+                client._request("GET", "/v1/nowhere")
+            assert excinfo.value.status == 404, role
+            with pytest.raises(ServerError) as excinfo:
+                client.job("j-unknown")
+            assert excinfo.value.status == 404, role
+            with pytest.raises(ServerError) as excinfo:
+                client._request("DELETE", "/v1/stats")
+            assert excinfo.value.status == 405, role
+            with pytest.raises(ServerError) as excinfo:
+                client._request("POST", "/v1/jobs", body={"method": "nope"})
+            assert excinfo.value.status == 400, role
+            with pytest.raises(ServerError) as excinfo:
+                client._request("POST", "/v1/jobs", body={"jobs": []})
+            assert excinfo.value.status == 400, role
 
 
 def test_queue_backpressure_429(tmp_path):
-    with ServerThread(store_dir=tmp_path, queue_limit=2) as server:
-        client = client_for(server)
-        payloads = [spinner_payload("spin-{}".format(i)) for i in range(3)]
-        with pytest.raises(ServerError) as excinfo:
-            client.submit_payloads(payloads)
-        assert excinfo.value.status == 429
-        # under the limit is fine
-        ids = client.submit_payloads(payloads[:2])
-        assert len(ids) == 2
-        for job_id in ids:
-            client.cancel(job_id)
+    for role in ROLES:
+        with queued_front_end(role, tmp_path / role,
+                              queue_limit=2) as server:
+            client = client_for(server)
+            payloads = [spinner_payload("spin-{}".format(i))
+                        for i in range(3)]
+            with pytest.raises(ServerError) as excinfo:
+                client.submit_payloads(payloads)
+            assert excinfo.value.status == 429, role
+            # under the limit is fine
+            ids = client.submit_payloads(payloads[:2])
+            assert len(ids) == 2, role
+            for job_id in ids:
+                client.cancel(job_id)
 
 
 def test_cancel_queued_and_running(tmp_path):
-    with ServerThread(store_dir=tmp_path, workers=1) as server:
+    # Cancelling a queued job is immediate, in either role.
+    for role in ROLES:
+        with queued_front_end(role, tmp_path / role) as server:
+            client = client_for(server)
+            queued_id = client.submit_payload(spinner_payload("queued"))
+            assert client.job(queued_id)["state"] == "queued", role
+            response = client.cancel(queued_id)
+            assert response["state"] == "cancelled", role
+            assert client.job(queued_id)["state"] == "cancelled", role
+
+    with ServerThread(store_dir=tmp_path / "running", workers=1) as server:
         client = client_for(server)
         running_id = client.submit_payload(spinner_payload("running"))
-        queued_id = client.submit_payload(spinner_payload("queued"))
-
-        # Wait until the first spinner occupies the only worker.
         deadline_poll = 0
         while client.job(running_id)["state"] != "running":
             deadline_poll += 1
             assert deadline_poll < 600, "spinner never started"
             client.sleep(0.05)
-        assert client.job(queued_id)["state"] == "queued"
-
-        # Cancelling a queued job is immediate.
-        response = client.cancel(queued_id)
-        assert response["state"] == "cancelled"
-        assert client.job(queued_id)["state"] == "cancelled"
 
         # Cancelling the running job goes SIGTERM -> cooperative cancel.
         response = client.cancel(running_id)
@@ -209,17 +217,42 @@ def test_cancel_queued_and_running(tmp_path):
         assert response["detail"] == "already terminal"
 
 
-def test_rate_limit_429(tmp_path):
-    with ServerThread(store_dir=tmp_path, rate=0.001, burst=2) as server:
+@pytest.mark.parametrize("role", ROLES)
+def test_terminal_transitions_emit_events(tmp_path, role):
+    """A queued cancel emits ``job_cancelled``, and a job that errors
+    before it runs (the daemon cannot build it, or a node rejects the
+    dispatch) emits ``job_finished``, in both roles alike."""
+    with queued_front_end(role, tmp_path) as server:
         client = client_for(server)
-        client.stats()
-        client.stats()
-        with pytest.raises(ServerError) as excinfo:
+        cancelled = client.submit_payload(spinner_payload("cancel-me"))
+        client.cancel(cancelled)
+        broken = client.submit_payload(dict(spinner_payload("broken"),
+                                            spec_bench="GARBAGE("))
+        release_queue(server)
+        record = client.wait(broken, poll=0.05, timeout=30)
+        assert record["state"] == "error"
+
+        def types(job_id):
+            return [event["type"] for event in client.events(job_id)]
+
+        assert types(cancelled) == ["job_submitted", "job_cancelled",
+                                    "done"]
+        assert types(broken)[-2:] == ["job_finished", "done"]
+
+
+def test_rate_limit_429(tmp_path):
+    for role in ROLES:
+        with queued_front_end(role, tmp_path / role, rate=0.001,
+                              burst=2) as server:
+            client = client_for(server)
             client.stats()
-        assert excinfo.value.status == 429
-        # healthz is never throttled
-        assert client.healthz()["status"] == "ok"
-        assert server.limiter.rejected >= 1
+            client.stats()
+            with pytest.raises(ServerError) as excinfo:
+                client.stats()
+            assert excinfo.value.status == 429, role
+            # healthz is never throttled
+            assert client.healthz()["status"] == "ok", role
+            assert server.limiter.rejected >= 1, role
 
 
 def test_stats_shape(tmp_path):
@@ -236,17 +269,47 @@ def test_stats_shape(tmp_path):
         assert stats["events"]["published"] > 0
         assert isinstance(stats["solver_stats"], dict)
 
+    # The block both roles share.
+    for role in ROLES:
+        with queued_front_end(role, tmp_path / role, queue_limit=5,
+                              cache_dir=str(tmp_path / role / "cache")
+                              ) as server:
+            client = client_for(server)
+            client.submit_payload(spinner_payload())
+            stats = client.stats()
+            assert stats["role"] == server.executor.role
+            assert stats["jobs"]["queued"] == 1, role
+            assert stats["queue_limit"] == 5, role
+            assert stats["cache"]["hit_rate"] is None, role
+            assert stats["events"]["published"] > 0, role
+            assert set(stats["rate_limit"]) == {"rejected", "rate",
+                                                "burst"}, role
+            assert stats["uptime_seconds"] >= 0, role
+
 
 def test_job_listing(tmp_path):
-    spec, impl = tiny_pair()
+    for role in ROLES:
+        with queued_front_end(role, tmp_path / role) as server:
+            client = client_for(server)
+            job_id = client.submit_payload(spinner_payload("tiny"))
+            jobs = client.jobs()
+            assert [j["id"] for j in jobs] == [job_id], role
+            assert jobs[0]["name"] == "tiny", role
+            assert jobs[0]["state"] == "queued", role
+            assert jobs[0]["requeues"] == 0, role
+
+
+def test_stop_does_not_wait_for_sse_watchers(tmp_path):
+    """A graceful stop ends a watched running job's stream instead of
+    waiting for it (``Server.wait_closed`` waits for every open
+    connection on Python 3.12+)."""
     with ServerThread(store_dir=tmp_path, workers=1) as server:
         client = client_for(server)
-        job_id = client.submit(spec, impl, name="tiny", method="sat_sweep")
-        client.wait(job_id, poll=0.05, timeout=60)
-        jobs = client.jobs()
-        assert [j["id"] for j in jobs] == [job_id]
-        assert jobs[0]["name"] == "tiny"
-        assert jobs[0]["state"] == "done"
+        job_id = client.submit_payload(spinner_payload())
+        events = client.events(job_id, timeout=60)
+        assert next(events)["type"] == "job_submitted"
+    # Leaving the block ran stop() within the helper's 30 s limit.
+    events.close()
 
 
 def test_restart_resumes_persisted_queue(tmp_path):

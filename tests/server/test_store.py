@@ -3,8 +3,10 @@
 import json
 import os
 
+import pytest
+
 from repro.server import (CANCELLED, DONE, QUEUED, RUNNING, JobRecord,
-                          JobStore)
+                          JobStore, StoreLocked)
 
 
 def make_payload(name="tiny"):
@@ -105,3 +107,36 @@ def test_public_dict_redacts_bench_bodies(tmp_path):
     assert "chars" in public["payload"]["spec_bench"]
     # but the store itself keeps the full text
     assert "INPUT" in JobStore(tmp_path).get(record.id).payload["spec_bench"]
+
+
+def test_locked_store_refuses_a_second_holder(tmp_path):
+    held = JobStore.locked(tmp_path)
+    queued = held.create(make_payload("held"))
+    with pytest.raises(StoreLocked) as excinfo:
+        JobStore.locked(tmp_path)
+    assert str(tmp_path) in str(excinfo.value)
+    # Releasing the hold (a server stopping) lets the next one in, and
+    # it resumes the queue it finds.
+    held.close()
+    again = JobStore.locked(tmp_path)
+    assert [r.id for r in again.queued()] == [queued.id]
+    again.close()
+
+
+def test_forked_children_do_not_keep_the_store_locked(tmp_path):
+    """Worker processes fork from the daemon; once it lets go of the
+    store (or dies), a child still running must not hold the lock."""
+    import time
+
+    held = JobStore.locked(tmp_path)
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - child
+        time.sleep(2.0)
+        os._exit(0)
+    try:
+        time.sleep(0.2)  # the child's at-fork hook has run by now
+        held.close()
+        JobStore.locked(tmp_path).close()
+    finally:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)

@@ -309,3 +309,18 @@ def test_bad_method_rejected(circuit_files):
     with pytest.raises(SystemExit):
         main(["verify", str(circuit_files["spec"]),
               str(circuit_files["impl"]), "--method", "bogus"])
+
+
+@pytest.mark.parametrize("role", [[], ["--coordinator"]],
+                         ids=["daemon", "coordinator"])
+def test_serve_refuses_a_store_another_server_holds(tmp_path, capsys, role):
+    from repro.server import JobStore
+
+    held = JobStore.locked(tmp_path / "store")
+    try:
+        code = main(["serve", "--port", "0", "--quiet", "--no-cache",
+                     "--store-dir", str(tmp_path / "store")] + role)
+    finally:
+        held.close()
+    assert code == 2
+    assert str(tmp_path / "store") in capsys.readouterr().err
