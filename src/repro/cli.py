@@ -177,8 +177,6 @@ def _cmd_verify(args):
                     options["refine_batch"] = args.refine_batch
                 if args.sim_backend != "auto":
                     options["sim_backend"] = args.sim_backend
-                if args.fraig_race:
-                    options["race_workers"] = args.fraig_race
                 if args.time_limit:
                     options["time_limit"] = args.time_limit
             elif args.method == "traversal":
@@ -285,8 +283,6 @@ def _cmd_batch(args):
             options["refine_batch"] = args.refine_batch
         if args.sim_backend != "auto":
             options["sim_backend"] = args.sim_backend
-    if args.fraig_race and args.method == "fraig_sweep":
-        options["race_workers"] = args.fraig_race
     if args.preprocess:
         options["preprocess"] = args.preprocess
     jobs = []
@@ -616,8 +612,6 @@ def _remote_verify(args):
             options["refine_batch"] = args.refine_batch
         if args.sim_backend != "auto":
             options["sim_backend"] = args.sim_backend
-    if args.fraig_race and args.method == "fraig_sweep":
-        options["race_workers"] = args.fraig_race
     if args.preprocess:
         options["preprocess"] = args.preprocess
     if args.suite:
@@ -769,12 +763,6 @@ def build_parser():
                           help="simulation backend for SAT-engine replay "
                                "(auto = matrix when numpy imports, else "
                                "compiled)")
-    p_verify.add_argument("--fraig-race", type=int, default=0, metavar="N",
-                          help="fraig_sweep only: race the FRAIG candidate-"
-                               "check strategies on N pool workers and "
-                               "take the first reduction (0 = off; "
-                               "verdict-preserving, reduction may vary "
-                               "run to run)")
     p_verify.add_argument("--profile", metavar="FILE",
                           help="profile the verification with cProfile and "
                                "dump pstats data to FILE")
@@ -828,9 +816,6 @@ def build_parser():
                          choices=["auto", "compiled", "matrix"],
                          default="auto",
                          help="simulation backend for SAT-engine replay")
-    p_batch.add_argument("--fraig-race", type=int, default=0, metavar="N",
-                         help="fraig_sweep only: race FRAIG strategies on "
-                              "N pool workers per reduction (0 = off)")
     p_batch.add_argument("--optimize-level", type=int, default=2)
     p_batch.add_argument("--time-limit", type=float, default=300.0,
                          help="per-job engine time budget (seconds)")
@@ -1028,9 +1013,6 @@ def build_parser():
                            choices=["auto", "compiled", "matrix"],
                            default="auto",
                            help="simulation backend for SAT-engine replay")
-    pr_verify.add_argument("--fraig-race", type=int, default=0, metavar="N",
-                           help="fraig_sweep only: race FRAIG strategies "
-                                "on N pool workers (0 = off)")
     pr_verify.add_argument("--preprocess", choices=["fraig"],
                            help="FRAIG-reduce the pair server-side before "
                                 "the engine runs (applied before the "

@@ -33,10 +33,9 @@ Mechanics
 ---------
 
 * Workers are **raw-fork** children (``service.procs.fork_worker`` under
-  the pool), not ``multiprocessing`` processes: service workers are
-  daemonic and daemonic processes may not start multiprocessing children,
-  but they may fork.  Messages are length-prefixed pickles over plain
-  pipes.
+  the pool), the same transport as the service's job workers, so a job
+  worker can host the pool.  Messages are length-prefixed pickles over
+  plain pipes.
 * Each round the master **broadcasts** the full round-start partition (as
   signal indices — the ``_signals`` list is shared by fork) once; every
   worker retires the previous round's activation literal, allocates a

@@ -8,8 +8,9 @@ machine-readable run log) and :class:`repro.service.render.LiveRenderer`
 (the human-readable progress view).
 
 Events cross process boundaries as plain dicts (see
-:meth:`Event.as_dict` / :meth:`Event.from_dict`), so worker processes can
-forward them to the parent over a ``multiprocessing.Queue``.
+:meth:`Event.as_dict` / :meth:`Event.from_dict`): a job worker writes each
+one as a framed pickle on its own pipe, and the parent's
+:class:`~repro.service.scheduler.WorkerPool` publishes it on the bus.
 """
 
 import json

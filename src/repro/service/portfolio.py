@@ -12,10 +12,10 @@ insight from the parallel-CEC literature applied to van Eijk's setting:
 * ``traversal`` — the complete-but-expensive baseline: decides anything
   whose reachable state space fits in the node budget.
 
-All lanes run as separate worker processes; the first *conclusive* verdict
-(proved or refuted) wins the race, and the losing lanes are cancelled with
-SIGTERM→SIGKILL escalation (see
-:func:`repro.service.procs.terminate_gracefully`).  If every lane finishes
+All lanes run as separate workers of one
+:class:`~repro.service.scheduler.WorkerPool`, keyed by method; the first
+*conclusive* verdict (proved or refuted) wins the race, and the losing
+lanes are cancelled with SIGTERM→SIGKILL escalation.  If every lane finishes
 inconclusive, the preferred lane's result (first in ``methods``) is
 returned so callers still see iteration counts and abort reasons.
 
@@ -36,12 +36,11 @@ from .events import (
     ENGINE_FINISHED,
     ENGINE_STARTED,
     ENGINE_WON,
-    Event,
     EventBus,
     PORTFOLIO_STARTED,
 )
-from .job import JobResult, JobSpec, aborted_result
-from .procs import drain_queue, get_context, start_worker, terminate_gracefully
+from .job import JobSpec, aborted_result
+from .scheduler import WorkerPool
 
 DEFAULT_PORTFOLIO_METHODS = ("van_eijk", "fraig_sweep", "k_induction",
                              "bmc", "traversal")
@@ -84,18 +83,7 @@ def run_portfolio(spec, impl, methods=DEFAULT_PORTFOLIO_METHODS,
     bus.emit(PORTFOLIO_STARTED, job=name, methods=list(methods),
              time_limit=time_limit)
 
-    ctx = get_context()
-    event_queue = ctx.Queue()
-    result_queue = ctx.Queue()
-    procs = {}
-    for method in methods:
-        procs[method] = start_worker(ctx, jobs[method], method,
-                                     event_queue, result_queue)
-        bus.emit(ENGINE_STARTED, job=name, method=method,
-                 pid=procs[method].pid)
-
-    start = time.monotonic()
-    deadline = None if time_limit is None else start + time_limit + grace
+    pool = WorkerPool(workers=len(methods), bus=bus, grace=grace)
     results = {}
     status = {method: "running" for method in methods}
     audited = set()
@@ -107,62 +95,32 @@ def run_portfolio(spec, impl, methods=DEFAULT_PORTFOLIO_METHODS,
                 results, status, audited, bus, name)
 
     winner = None
+    start = time.monotonic()
+    deadline = None if time_limit is None else start + time_limit + grace
     try:
-        while winner is None:
-            _forward_events(event_queue, bus)
-            _collect_results(result_queue, results, status, bus, name)
+        for method in methods:
+            pool.submit(method, jobs[method], event=ENGINE_STARTED)
+        while pool.active:
+            for outcome in pool.poll():
+                _record_lane(outcome, results, status, bus, name)
             audit_refutations()
             winner = _find_winner(methods, results)
             if winner is not None:
-                break
-            for method, proc in procs.items():
-                if status[method] == "running" and not proc.is_alive():
-                    proc.join()
-                    # A finished worker flushes its result before exiting;
-                    # drain once more so a verdict racing the process's
-                    # death is collected, not misread as a crash.
-                    _collect_results(result_queue, results, status, bus,
-                                     name)
-                    if method not in results:
-                        status[method] = "crashed"
-                        results[method] = aborted_result(
-                            method, "worker crashed (exit code {})".format(
-                                proc.exitcode))
-                        bus.emit(ENGINE_FINISHED, job=name, method=method,
-                                 verdict=None, crashed=True)
-            if all(s != "running" for s in status.values()):
                 break
             if deadline is not None and time.monotonic() > deadline:
                 break
             time.sleep(_POLL_INTERVAL)
     finally:
-        fates = terminate_gracefully(list(procs.values()), grace=grace)
-        for method, proc in procs.items():
-            if status[method] != "running":
-                continue
-            fate = fates[proc]
-            if fate in ("terminated", "killed"):
-                status[method] = "cancelled"
-                bus.emit(ENGINE_CANCELLED, job=name, method=method,
-                         escalated=fate == "killed")
-            elif proc.exitcode != 0:
-                # The lane died on its own before the race was decided but
-                # after the last in-loop liveness check.
-                status[method] = "crashed"
-                results.setdefault(method, aborted_result(
-                    method, "worker crashed (exit code {})".format(
-                        proc.exitcode)))
-                bus.emit(ENGINE_FINISHED, job=name, method=method,
-                         verdict=None, crashed=True)
-            else:
-                status[method] = "finished"
-        # Late results from cancelled lanes (posted between the decision
-        # and the SIGTERM) are still drained so the queues shut down clean.
-        _forward_events(event_queue, bus)
-        _collect_results(result_queue, results, status, bus, name,
-                         quiet=True)
-        event_queue.close()
-        result_queue.close()
+        # Lanes still running lost the race (or ran out of time).  A result
+        # one of them posts while it winds down is kept, quietly: it still
+        # goes through the replay audit before it can be returned.
+        for outcome in pool.shutdown():
+            method = outcome.token
+            if outcome.error is None:
+                results.setdefault(method, outcome.result.result)
+            status[method] = "cancelled"
+            bus.emit(ENGINE_CANCELLED, job=name, method=method,
+                     escalated=outcome.error is not None)
 
     elapsed = time.monotonic() - start
     if winner is not None:
@@ -171,9 +129,6 @@ def run_portfolio(spec, impl, methods=DEFAULT_PORTFOLIO_METHODS,
         bus.emit(ENGINE_WON, job=name, method=winner,
                  verdict=result.equivalent, seconds=elapsed)
     else:
-        # Late results drained after the race (posted between the decision
-        # and the SIGTERM) still go through the replay audit before one of
-        # them can be returned.
         audit_refutations()
         result = None
         for method in methods:
@@ -193,32 +148,26 @@ def run_portfolio(spec, impl, methods=DEFAULT_PORTFOLIO_METHODS,
     return result
 
 
-def _forward_events(event_queue, bus):
-    for payload in drain_queue(event_queue):
-        bus.publish(Event.from_dict(payload))
-
-
-def _collect_results(result_queue, results, status, bus, name, quiet=False):
-    for message in drain_queue(result_queue):
-        kind, method, payload = message
-        if kind == "result":
-            job_result = JobResult.from_dict(payload)
-            results.setdefault(method, job_result.result)
-            if status.get(method) == "running":
-                status[method] = "finished"
-            if not quiet:
-                bus.emit(ENGINE_FINISHED, job=name, method=method,
-                         verdict=job_result.result.equivalent,
-                         seconds=job_result.result.seconds,
-                         peak_nodes=job_result.result.peak_nodes)
-        else:  # engine raised: record as a failed lane
-            results.setdefault(
-                method, aborted_result(method, "engine error"))
-            if status.get(method) == "running":
-                status[method] = "error"
-            if not quiet:
-                bus.emit(ENGINE_FINISHED, job=name, method=method,
-                         verdict=None, error=payload.splitlines()[-1])
+def _record_lane(outcome, results, status, bus, name):
+    """Record a lane whose worker finished on its own."""
+    method = outcome.token
+    if outcome.error is None:
+        result = outcome.result.result
+        status[method] = "finished"
+        bus.emit(ENGINE_FINISHED, job=name, method=method,
+                 verdict=result.equivalent, seconds=result.seconds,
+                 peak_nodes=result.peak_nodes)
+    elif outcome.error.startswith("engine error"):
+        result = aborted_result(method, "engine error")
+        status[method] = "error"
+        bus.emit(ENGINE_FINISHED, job=name, method=method, verdict=None,
+                 error=outcome.error.splitlines()[-1])
+    else:
+        result = outcome.result.result
+        status[method] = "crashed"
+        bus.emit(ENGINE_FINISHED, job=name, method=method, verdict=None,
+                 crashed=True)
+    results[method] = result
 
 
 def _reject_invalid_refutations(spec, impl, match_inputs, match_outputs,

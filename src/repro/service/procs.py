@@ -1,30 +1,28 @@
-"""Worker-process plumbing shared by the portfolio runner and scheduler.
+"""Worker-process plumbing: one raw-fork transport for every worker.
 
-Start-method note: the service prefers ``fork`` (cheap on Linux, and it
-lets tests register extra engine methods that workers inherit); on
-platforms without it the default context is used, which requires job specs
-to be picklable — they are.
+Every worker is a raw ``os.fork`` child started by :func:`fork_worker`,
+speaking length-prefixed pickle frames (:func:`write_framed` /
+:func:`read_framed`) over pipes that belong to that one worker.
+:class:`ForkProcess` is the parent's handle on such a child, with the
+``is_alive``/``terminate``/``join``/``kill`` surface
+:func:`terminate_gracefully` relies on.  A worker may fork workers of its
+own: a job worker running parallel refinement hosts a :class:`StealPool`.
 
-:class:`ForkProcess` wraps a *raw* ``os.fork`` child in the same
-``is_alive``/``terminate``/``join``/``kill`` surface so
-:func:`terminate_gracefully` works on it too.  Raw fork is what the
-engine-level refinement pool (:mod:`repro.core.parallel`) needs: service
-workers are daemonic ``multiprocessing`` processes, and daemonic processes
-may not start ``multiprocessing`` children — but they may fork.
+Two pools build on it:
 
-:class:`StealPool` builds on the same plumbing: a generic work-stealing
-pool of raw-fork workers speaking length-prefixed pickles, used by the
-parallel refinement engine (batched Q-checks) and the FRAIG strategy racer
-(:mod:`repro.sweep.race`).  The master holds the task deque; idle workers
-are handed the next batch as soon as their previous reply drains, so load
-balances dynamically instead of by up-front assignment.
+* :class:`~repro.service.scheduler.WorkerPool` forks one job worker per
+  job (:func:`~repro.service.worker.worker_entry`); the daemon, the batch
+  scheduler and the portfolio racer all run their jobs through it.
+* :class:`StealPool` is a generic work-stealing pool of long-lived
+  workers, used by the parallel refinement engine (batched Q-checks).
+  The master holds the task deque; idle workers are handed the next
+  batch as soon as their previous reply drains, so load balances
+  dynamically instead of by up-front assignment.
 """
 
 import errno
-import multiprocessing
 import os
 import pickle
-import queue as queue_mod
 import select
 import signal
 import time
@@ -32,35 +30,13 @@ import traceback
 from collections import deque
 
 from ..errors import ResourceBudgetExceeded
-from .worker import worker_entry
-
-
-def get_context():
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        return multiprocessing.get_context()
-
-
-def start_worker(ctx, job, token, event_queue, result_queue):
-    """Spawn a daemonized worker process for ``job``; returns it started."""
-    proc = ctx.Process(
-        target=worker_entry,
-        args=(job, token, event_queue, result_queue),
-        name="repro-worker-{}".format(token),
-        daemon=True,
-    )
-    proc.start()
-    return proc
 
 
 class ForkProcess:
     """Process-like handle for a raw-``os.fork`` child.
 
-    Implements the subset of the ``multiprocessing.Process`` surface that
-    :func:`terminate_gracefully` relies on.  ``is_alive``/``join`` reap the
-    child with ``waitpid(WNOHANG)``, so a ``ForkProcess`` that has been
-    polled never leaves a zombie behind.
+    ``is_alive``/``join`` reap the child with ``waitpid(WNOHANG)``, so a
+    ``ForkProcess`` that has been polled never leaves a zombie behind.
     """
 
     def __init__(self, pid):
@@ -111,17 +87,31 @@ class ForkProcess:
             time.sleep(0.005)
 
 
-def fork_worker(target, *args):
+def fork_worker(target, *args, close_fds=()):
     """Fork a child running ``target(*args)``; returns a :class:`ForkProcess`.
 
-    The child resets SIGTERM to the default handler, detaches any inherited
-    asyncio signal-wakeup fd (same hazard as ``worker_entry``), and leaves
-    through ``os._exit`` so no parent atexit/finally machinery runs twice.
+    The child first closes ``close_fds``: the parent-side pipe ends the
+    parent holds for this worker and for its other workers.  A worker must
+    not keep a reader on its own output pipe (or a writer on another's
+    input): once the parent dies, the worker's writes then fail with
+    ``EPIPE`` and its reads see EOF, instead of blocking forever.
+
+    The child resets SIGTERM to the default handler and detaches any
+    inherited asyncio signal-wakeup fd: an asyncio parent (the daemon) has
+    one installed, and a child that kept it would write its own signals
+    into the parent's event-loop self-pipe, so cancelling one job would
+    run the daemon's SIGTERM handler.  The child leaves through
+    ``os._exit`` so no parent atexit/finally machinery runs twice.
     """
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
+            for fd in close_fds:
+                try:
+                    os.close(fd)
+                except OSError:
+                    pass
             signal.signal(signal.SIGTERM, signal.SIG_DFL)
             try:
                 signal.set_wakeup_fd(-1)
@@ -200,8 +190,7 @@ class _StealWorker:
         self.inflight = None  # batch id currently on this worker's pipe
 
 
-def _steal_child_main(handler_factory, factory_args, req_r, resp_w,
-                      close_fds):
+def _steal_child_main(handler_factory, factory_args, req_r, resp_w):
     """Child entry: build the handler once, then serve frames until EOF.
 
     Protocol (one pickle frame per message):
@@ -214,11 +203,6 @@ def _steal_child_main(handler_factory, factory_args, req_r, resp_w,
       :class:`ResourceBudgetExceeded`, or ``("error", bid, traceback)``.
     * ``("stop",)`` — exit.
     """
-    for fd in close_fds:
-        try:
-            os.close(fd)
-        except OSError:
-            pass
     handler = handler_factory(*factory_args)
     setup_error = None
     while True:
@@ -304,12 +288,9 @@ class StealPool:
     def _spawn(self, index):
         req_r, req_w = os.pipe()
         resp_r, resp_w = os.pipe()
-        # The child must drop every parent-side fd it inherited: its own
-        # pair's, and those of previously-forked siblings — otherwise a
-        # dead master's pipes never read EOF.
-        child_closes = self._parent_fds() + [req_w, resp_r]
         proc = fork_worker(_steal_child_main, self._factory,
-                           self._factory_args, req_r, resp_w, child_closes)
+                           self._factory_args, req_r, resp_w,
+                           close_fds=self._parent_fds() + [req_w, resp_r])
         os.close(req_r)
         os.close(resp_w)
         return _StealWorker(index, proc, req_w, resp_r)
@@ -443,15 +424,6 @@ class StealPool:
                         pass
         if workers:
             terminate_gracefully([w.proc for w in workers], grace=1.0)
-
-
-def drain_queue(q):
-    """Yield every message currently on ``q`` without blocking."""
-    while True:
-        try:
-            yield q.get_nowait()
-        except queue_mod.Empty:
-            return
 
 
 def terminate_gracefully(procs, grace=2.0):

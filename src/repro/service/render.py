@@ -93,8 +93,12 @@ class LiveRenderer:
                 data.get("method"),
                 " (killed)" if data.get("escalated") else "")
         if kind == ev.SERVER_STARTED:
-            return "server: listening on {}:{} ({} workers, pid {})".format(
-                data.get("host"), data.get("port"), data.get("workers"),
+            nodes = data.get("nodes")
+            capacity = ("{} workers".format(data.get("workers"))
+                        if nodes is None else "{}/{} nodes alive".format(
+                            nodes.get("alive"), nodes.get("total")))
+            return "server: listening on {}:{} ({}, pid {})".format(
+                data.get("host"), data.get("port"), capacity,
                 data.get("pid"))
         if kind == ev.SERVER_STOPPED:
             return "server: stopped after {}".format(

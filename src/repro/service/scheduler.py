@@ -21,6 +21,10 @@ concurrently across worker processes:
 Results come back in submission order, one :class:`JobResult` per job.
 """
 
+import itertools
+import os
+import pickle
+import select
 import signal
 import threading
 import time
@@ -40,10 +44,12 @@ from .events import (
     JOB_STARTED,
 )
 from .job import JobResult, JobSpec, aborted_result
-from .procs import drain_queue, get_context, start_worker, terminate_gracefully
-from .worker import run_job
+from .procs import fork_worker
+from .worker import run_job, worker_entry
 
 _POLL_INTERVAL = 0.05
+_READ_SIZE = 1 << 16
+_JOB_TIMED_OUT = "job time budget exhausted"
 
 # Engines whose option dicts accept a time budget (job_time_limit seeding).
 _TIMED_METHODS = ("van_eijk", "traversal", "bmc", "sat_sweep",
@@ -255,7 +261,7 @@ class BatchScheduler:
             attempt = pending.pop(0)
             reason = self._stop_reason(deadline)
             if reason is not None:
-                self._abort_remaining([attempt] + pending, results, reason)
+                self._abort([attempt] + pending, results, reason)
                 return
             self.bus.emit(JOB_STARTED, job=attempt.job.name,
                           index=attempt.index, method=attempt.job.method,
@@ -272,89 +278,51 @@ class BatchScheduler:
     # -- process pool -------------------------------------------------------
 
     def _run_pool(self, pending, results, start):
-        ctx = get_context()
-        event_queue = ctx.Queue()
-        result_queue = ctx.Queue()
-        running = {}  # token -> _Running
-        token_counter = 0
+        pool = WorkerPool(workers=self.workers, bus=self.bus,
+                          job_time_limit=self.job_time_limit,
+                          grace=self.grace)
+        running = {}  # token -> _Attempt
+        tokens = itertools.count(1)
         deadline = self._deadline(start)
         try:
             while pending or running:
                 reason = self._stop_reason(deadline)
                 if reason is not None:
-                    self._cancel_running(running, results, reason)
-                    self._abort_remaining(pending, results, reason)
+                    pool.shutdown()
+                    self._abort(running.values(), results, reason,
+                                running=True)
+                    self._abort(pending, results, reason)
                     return
-                while pending and len(running) < self.workers:
+                while pending and pool.has_capacity():
                     attempt = pending.pop(0)
-                    token_counter += 1
-                    proc = start_worker(ctx, attempt.job, token_counter,
-                                        event_queue, result_queue)
-                    running[token_counter] = _Running(attempt, proc)
-                    self.bus.emit(JOB_STARTED, job=attempt.job.name,
-                                  index=attempt.index,
-                                  method=attempt.job.method,
-                                  attempt=attempt.number, pid=proc.pid)
-                for payload in drain_queue(event_queue):
-                    self.bus.publish(Event.from_dict(payload))
-                for kind, token, payload in drain_queue(result_queue):
-                    run = running.get(token)
-                    if run is None:
-                        continue
-                    run.outcome = (kind, payload)
-                self._reap(running, results, pending)
-                self._enforce_job_timeout(running)
+                    token = next(tokens)
+                    pool.submit(token, attempt.job, index=attempt.index,
+                                attempt=attempt.number)
+                    running[token] = attempt
+                for outcome in pool.poll():
+                    self._settle(running.pop(outcome.token), outcome,
+                                 results, pending)
                 if running and not pending:
                     time.sleep(_POLL_INTERVAL)
                 elif running:
                     time.sleep(_POLL_INTERVAL / 5)
         finally:
-            terminate_gracefully([r.proc for r in running.values()],
-                                 grace=self.grace)
-            for payload in drain_queue(event_queue):
-                self.bus.publish(Event.from_dict(payload))
-            event_queue.close()
-            result_queue.close()
+            pool.shutdown()
 
-    def _reap(self, running, results, pending):
-        for token in list(running):
-            run = running[token]
-            if run.outcome is None and run.proc.is_alive():
-                continue
-            if run.outcome is None:
-                # Exited without reporting: give the queue a beat to
-                # deliver a result raced with process death.
-                run.proc.join()
-                if run.grace_polls < 3:
-                    run.grace_polls += 1
-                    continue
-            del running[token]
-            attempt = run.attempt
-            wall = time.monotonic() - run.started
-            if run.outcome is not None:
-                run.proc.join()
-                kind, payload = run.outcome
-                if kind == "result":
-                    self._finalize(attempt,
-                                   JobResult.from_dict(payload).result,
-                                   results, pending, wall)
-                else:
-                    self._crash(attempt, "engine error:\n" + payload,
-                                results, pending)
-            else:
-                self._crash(
-                    attempt,
-                    "worker crashed (exit code {})".format(run.proc.exitcode),
-                    results, pending,
-                    timed_out=run.timed_out,
-                )
+    def _settle(self, attempt, outcome, results, pending):
+        """Record a finished worker: its verdict, a retry or a crash."""
+        if outcome.error is None:
+            self._finalize(attempt, outcome.result.result, results, pending,
+                           outcome.result.wall_seconds)
+        elif outcome.error == _JOB_TIMED_OUT:
+            self._finalize(attempt,
+                           aborted_result(attempt.job.method, _JOB_TIMED_OUT),
+                           results, pending, None)
+        else:
+            self._crash(attempt, outcome.error, results, pending)
 
-    def _crash(self, attempt, reason, results, pending, timed_out=False):
+    def _crash(self, attempt, reason, results, pending):
         job = attempt.job
-        if timed_out:
-            result = aborted_result(job.method, "job time budget exhausted")
-            self._finalize(attempt, result, results, pending, None)
-            return
         if attempt.number <= self.retries:
             self.bus.emit(JOB_RETRY, job=job.name, index=attempt.index,
                           attempt=attempt.number + 1, reason=reason)
@@ -368,47 +336,19 @@ class BatchScheduler:
                       verdict=None, method=job.method, error=reason,
                       attempts=attempt.number)
 
-    def _enforce_job_timeout(self, running):
-        """Hard-kill guard above the engines' cooperative budgets."""
-        if self.job_time_limit is None:
-            return
-        limit = self.job_time_limit + self.grace
-        for run in running.values():
-            if (run.outcome is None and not run.timed_out
-                    and time.monotonic() - run.started > limit):
-                run.timed_out = True
-                run.proc.terminate()
-
-    def _cancel_running(self, running, results,
-                        reason="batch time budget exhausted"):
-        terminate_gracefully([r.proc for r in running.values()],
-                             grace=self.grace)
-        for run in running.values():
-            attempt = run.attempt
+    def _abort(self, attempts, results, reason, running=False):
+        """Finish ``attempts`` as aborted; a running one counts as tried."""
+        for attempt in attempts:
+            tries = attempt.number if running else attempt.number - 1
             result = aborted_result(attempt.job.method, reason)
             results[attempt.index] = JobResult(
-                attempt.job.name, result, attempts=attempt.number,
+                attempt.job.name, result, attempts=tries,
                 method=attempt.job.method)
             self.bus.emit(JOB_FINISHED, job=attempt.job.name,
                           index=attempt.index, verdict=None,
                           method=attempt.job.method,
                           error=reason,
-                          attempts=attempt.number)
-        running.clear()
-
-    def _abort_remaining(self, pending, results,
-                         reason="batch time budget exhausted"):
-        for attempt in pending:
-            result = aborted_result(attempt.job.method, reason)
-            results[attempt.index] = JobResult(
-                attempt.job.name, result, attempts=attempt.number - 1,
-                method=attempt.job.method)
-            self.bus.emit(JOB_FINISHED, job=attempt.job.name,
-                          index=attempt.index, verdict=None,
-                          method=attempt.job.method,
-                          error=reason,
-                          attempts=attempt.number - 1)
-        del pending[:]
+                          attempts=tries)
 
 
 class _Attempt:
@@ -431,21 +371,6 @@ class _Attempt:
         return clone
 
 
-class _Running:
-    """Bookkeeping for one live worker process."""
-
-    __slots__ = ("attempt", "proc", "started", "outcome", "timed_out",
-                 "grace_polls")
-
-    def __init__(self, attempt, proc):
-        self.attempt = attempt
-        self.proc = proc
-        self.started = time.monotonic()
-        self.outcome = None
-        self.timed_out = False
-        self.grace_polls = 0
-
-
 class PoolOutcome:
     """One finished :class:`WorkerPool` job.
 
@@ -466,24 +391,30 @@ class PoolOutcome:
 
 
 class WorkerPool:
-    """Non-blocking submit/poll/cancel surface over the worker processes.
+    """Non-blocking submit/poll/cancel surface over forked job workers.
 
-    Where :class:`BatchScheduler` owns a blocking loop over a fixed job
-    list, a long-lived host (the :mod:`repro.server` asyncio daemon) needs
-    to interleave job execution with other work.  ``WorkerPool`` exposes
-    the same worker plumbing incrementally — every method returns
-    immediately:
+    The one place job workers are forked: the daemon, the batch scheduler
+    (``workers >= 1``) and the portfolio racer all drive this pool.  Every
+    method but :meth:`shutdown` returns immediately, so a long-lived host
+    (the :mod:`repro.server` asyncio daemon) can interleave job execution
+    with other work:
 
     * :meth:`submit` forks a worker for one job (caller checks
       :meth:`has_capacity` first, queueing policy lives with the caller);
-    * :meth:`poll` drains worker events onto the bus, escalates pending
+    * :meth:`poll` publishes worker events onto the bus, escalates pending
       cancellations past their grace period and returns the
       :class:`PoolOutcome` list of jobs that finished since the last call;
     * :meth:`cancel` requests the SIGTERM → cooperative-cancel → SIGKILL
       path for one running job without blocking on it.
 
-    The pool is *async-safe* in the sense the daemon needs: no method
-    blocks, so a single asyncio task can drive it with awaits in between.
+    Each worker writes framed pickles to a pipe of its own
+    (:func:`~repro.service.worker.worker_entry`): its progress events, then
+    one result frame.  A job is finished once its pipe reads EOF — every
+    frame it wrote has been read, and its events were published before its
+    outcome is returned — or once the worker has been reaped and the pipe
+    drained (a grandchild that inherited the write end cannot hold the
+    report open).  A report that ends mid-frame counts as a crash.
+
     It is not thread-safe — drive it from one thread/task only.
     """
 
@@ -492,9 +423,6 @@ class WorkerPool:
         self.bus = bus or EventBus()
         self.job_time_limit = job_time_limit
         self.grace = grace
-        self._ctx = get_context()
-        self._event_queue = self._ctx.Queue()
-        self._result_queue = self._ctx.Queue()
         self._running = {}  # token -> _PoolRun
 
     # -- capacity -----------------------------------------------------------
@@ -512,22 +440,35 @@ class WorkerPool:
 
     # -- submit / cancel ----------------------------------------------------
 
-    def submit(self, token, job):
+    def submit(self, token, job, event=JOB_STARTED, **fields):
         """Fork a worker for ``job``; ``token`` routes its outcome back.
 
-        Raises :class:`RuntimeError` when the pool is full or the token is
-        already in flight — callers gate on :meth:`has_capacity`.
+        Announces the worker with an ``event`` (default ``job_started``)
+        carrying ``job``, ``method``, ``pid`` and the caller's ``fields``;
+        returns the worker's pid.  Raises :class:`RuntimeError` when the
+        pool is full or the token is already in flight — callers gate on
+        :meth:`has_capacity`.
         """
         if not self.has_capacity():
             raise RuntimeError("worker pool is full")
         if token in self._running:
             raise RuntimeError("token {!r} already running".format(token))
         job = self._budgeted(job)
-        proc = start_worker(self._ctx, job, token,
-                            self._event_queue, self._result_queue)
-        self._running[token] = _PoolRun(job, proc)
-        self.bus.emit(JOB_STARTED, job=job.name, method=job.method,
-                      pid=proc.pid)
+        read_fd, write_fd = os.pipe()
+        try:
+            proc = fork_worker(
+                worker_entry, job, token, write_fd,
+                close_fds=[run.fd for run in self._running.values()]
+                + [read_fd])
+        except BaseException:
+            os.close(read_fd)
+            raise
+        finally:
+            os.close(write_fd)
+        os.set_blocking(read_fd, False)
+        self._running[token] = _PoolRun(job, proc, read_fd)
+        self.bus.emit(event, job=job.name, method=job.method, pid=proc.pid,
+                      **fields)
         return proc.pid
 
     def _budgeted(self, job):
@@ -564,18 +505,51 @@ class WorkerPool:
     def poll(self):
         """Advance the pool one step; returns finished :class:`PoolOutcome`\\ s.
 
-        Drains worker progress events onto the bus, applies the
-        ``job_time_limit`` hard-kill guard, escalates overdue cancellations
-        and reaps exited workers.  Never blocks.
+        Publishes every event frame waiting on the workers' pipes, applies
+        the ``job_time_limit`` hard-kill guard, escalates overdue
+        cancellations and reaps finished workers.  Never blocks.
         """
-        for payload in drain_queue(self._event_queue):
-            self.bus.publish(Event.from_dict(payload))
-        for kind, token, payload in drain_queue(self._result_queue):
-            run = self._running.get(token)
-            if run is not None:
-                run.outcome = (kind, payload)
         self._enforce_limits()
-        return self._reap()
+        finished = []
+        for token, run in list(self._running.items()):
+            # Checked before draining: every frame a reaped worker wrote is
+            # already in its pipe.
+            exited = not run.proc.is_alive()
+            if self._drain(run) or exited:
+                del self._running[token]
+                os.close(run.fd)
+                run.proc.join()
+                finished.append(self._outcome(token, run))
+        return finished
+
+    def _drain(self, run):
+        """Handle every frame waiting on ``run``'s pipe; True at EOF."""
+        while True:
+            try:
+                chunk = os.read(run.fd, _READ_SIZE)
+            except BlockingIOError:
+                return False
+            if not chunk:
+                return True
+            run.buffer += chunk
+            while len(run.buffer) >= 4:
+                end = 4 + int.from_bytes(run.buffer[:4], "little")
+                if len(run.buffer) < end:
+                    break
+                frame = bytes(run.buffer[4:end])
+                del run.buffer[:end]
+                self._receive(run, frame)
+
+    def _receive(self, run, frame):
+        try:
+            message = pickle.loads(frame)
+        except Exception:
+            run.torn = True
+            return
+        if message[0] == "event":
+            self.bus.publish(Event.from_dict(message[1]))
+        else:
+            run.outcome = (message[0], message[2])
 
     def _enforce_limits(self):
         now = time.monotonic()
@@ -592,26 +566,9 @@ class WorkerPool:
                 run.proc.terminate()
                 run.kill_at = now + self.grace
 
-    def _reap(self):
-        finished = []
-        for token in list(self._running):
-            run = self._running[token]
-            if run.outcome is None and run.proc.is_alive():
-                continue
-            if run.outcome is None and run.grace_polls < 3:
-                # Exited without reporting: give the queue a beat to deliver
-                # a result raced with process death.
-                run.proc.join()
-                run.grace_polls += 1
-                continue
-            del self._running[token]
-            run.proc.join()
-            finished.append(self._outcome(token, run))
-        return finished
-
     def _outcome(self, token, run):
         job = run.job
-        if run.outcome is not None:
+        if run.outcome is not None and not (run.torn or run.buffer):
             kind, payload = run.outcome
             if kind == "result":
                 result = JobResult.from_dict(payload)
@@ -623,7 +580,7 @@ class WorkerPool:
         elif run.cancelled:
             error = "cancelled (killed after grace period)"
         elif run.timed_out:
-            error = "job time budget exhausted"
+            error = _JOB_TIMED_OUT
         else:
             error = "worker crashed (exit code {})".format(run.proc.exitcode)
         reason = ("cancelled" if run.cancelled
@@ -636,46 +593,39 @@ class WorkerPool:
 
     # -- shutdown -----------------------------------------------------------
 
-    def shutdown(self, grace=None):
+    def shutdown(self):
         """Stop every running worker (SIGTERM → SIGKILL); returns outcomes.
 
         Blocking (up to the grace period) — the one pool method that is,
-        reserved for daemon teardown.  Pending worker events are flushed to
-        the bus before the queues close.
+        reserved for teardown.  Worker events keep being published while
+        the workers wind down, so none is lost and no worker blocks on a
+        full pipe.  Every outcome is flagged ``cancelled``.
         """
-        grace = self.grace if grace is None else grace
-        terminate_gracefully([r.proc for r in self._running.values()],
-                             grace=grace)
-        for payload in drain_queue(self._event_queue):
-            self.bus.publish(Event.from_dict(payload))
-        outcomes = []
         for token in list(self._running):
-            run = self._running.pop(token)
-            run.cancelled = True
-            for kind, tok, payload in drain_queue(self._result_queue):
-                target = self._running.get(tok)
-                if target is not None:
-                    target.outcome = (kind, payload)
-                elif tok == token:
-                    run.outcome = (kind, payload)
-            outcomes.append(self._outcome(token, run))
-        self._event_queue.close()
-        self._result_queue.close()
+            self.cancel(token)
+        outcomes = []
+        while self._running:
+            outcomes.extend(self.poll())
+            if self._running:
+                select.select([run.fd for run in self._running.values()],
+                              [], [], _POLL_INTERVAL)
         return outcomes
 
 
 class _PoolRun:
     """Bookkeeping for one live :class:`WorkerPool` worker."""
 
-    __slots__ = ("job", "proc", "started", "outcome", "cancelled",
-                 "timed_out", "kill_at", "grace_polls")
+    __slots__ = ("job", "proc", "fd", "buffer", "started", "outcome", "torn",
+                 "cancelled", "timed_out", "kill_at")
 
-    def __init__(self, job, proc):
+    def __init__(self, job, proc, fd):
         self.job = job
         self.proc = proc
+        self.fd = fd  # read end of the worker's pipe, non-blocking
+        self.buffer = bytearray()  # bytes of a frame not yet complete
         self.started = time.monotonic()
         self.outcome = None
+        self.torn = False
         self.cancelled = False
         self.timed_out = False
         self.kill_at = None
-        self.grace_polls = 0

@@ -2,23 +2,25 @@
 
 :func:`run_job` dispatches a :class:`~repro.service.job.JobSpec` to the
 right engine with progress/cancellation hooks injected;
-:func:`worker_entry` is the ``multiprocessing.Process`` target wrapping it
-with the cross-process plumbing:
+:func:`worker_entry` is the entry of a forked job worker (see
+:class:`~repro.service.scheduler.WorkerPool`) wrapping it with the
+cross-process plumbing:
 
-* engine progress callbacks become ``job_progress`` event dicts on the
-  parent's event queue;
+* engine progress callbacks become ``("event", dict)`` frames on the
+  worker's own pipe, followed by exactly one result frame;
 * ``SIGTERM`` is caught and translated into *cooperative* cancellation —
   the engine notices at its next iteration boundary and returns an
   inconclusive ("cancelled") result, so the worker exits cleanly with its
-  BDD/SAT state unwound instead of dying mid-operation.  Parents escalate
-  to ``SIGKILL`` only after a grace period (see portfolio/scheduler).
+  BDD/SAT state unwound instead of dying mid-operation.  The pool
+  escalates to ``SIGKILL`` only after a grace period.
 
-Additional engines can be registered with :func:`register_method`; under
-the default ``fork`` start method a registration made in the parent (e.g.
-by a test) is visible to workers.
+Additional engines can be registered with :func:`register_method`; workers
+are forked, so a registration made in the parent (e.g. by a test) is
+visible to them.
 """
 
 import os
+import pickle
 import signal
 import threading
 import time
@@ -27,6 +29,7 @@ import traceback
 from ..netlist.product import build_product
 from .events import JOB_PROGRESS, Event
 from .job import JobResult, aborted_result
+from .procs import write_framed
 
 #: name -> runner(job, progress, cancel_check) for engines beyond the
 #: built-ins (used by tests and downstream extensions).
@@ -128,31 +131,28 @@ def run_job(job, emit=None, cancel_check=None):
     raise ValueError("unknown job method {!r}".format(job.method))
 
 
-def worker_entry(job, token, event_queue, result_queue):
-    """Process target: run ``job`` and report on ``result_queue``.
+def worker_entry(job, token, fd):
+    """Forked-worker entry: run ``job`` and report on the pipe ``fd``.
 
-    ``token`` is an opaque identifier the parent uses to route the result
-    (job index for the scheduler, method name for the portfolio).  The
-    result message is ``("result", token, JobResult-dict)`` on success or
-    ``("error", token, traceback-string)`` on an engine exception; a crash
-    (hard kill, segfault, ``os._exit``) sends nothing — parents detect it
-    from the exit code.
+    Writes one ``("event", Event-dict)`` frame per progress event, then
+    exactly one ``("result", token, JobResult-dict)`` frame on success or
+    ``("error", token, traceback-string)`` on an engine exception.  A
+    crash (hard kill, segfault, ``os._exit``) ends the pipe without a
+    result frame, or mid-frame; the pool reports it from the exit code.
+    ``token`` is the caller's routing key (job token for the scheduler and
+    the daemon, method name for the portfolio).
+
+    The worker is the pipe's only writer and the pool its only reader
+    (:func:`~repro.service.procs.fork_worker` closes the read end here), so
+    once the pool's process dies every write fails with ``EPIPE`` rather
+    than blocking on a full pipe nobody drains.
     """
     cancelled = threading.Event()
-
-    # An asyncio parent (the verification daemon) has a signal wakeup fd
-    # installed, and fork shares it with us.  If we kept it, our own
-    # SIGTERM delivery would write the signum byte into the parent's
-    # event loop self-pipe — the parent would dispatch its *own* SIGTERM
-    # handler and shut down the whole daemon whenever one job is
-    # cancelled.  Detach before installing any handler of our own.
-    signal.set_wakeup_fd(-1)
 
     def on_sigterm(signum, frame):
         cancelled.set()
 
     signal.signal(signal.SIGTERM, on_sigterm)
-
 
     # Orphan guard: if the parent dies without tearing us down (SIGKILL'd
     # scheduler/daemon — its atexit cleanup never runs), we are reparented
@@ -163,25 +163,23 @@ def worker_entry(job, token, event_queue, result_queue):
     def cancel_check():
         return cancelled.is_set() or os.getppid() != parent_pid
 
+    def send(message):
+        write_framed(fd, pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
+
     def emit(event):
         try:
-            event_queue.put(event.as_dict())
+            send(("event", event.as_dict()))
         except Exception:
             pass  # never let telemetry take the engine down
 
     started = time.monotonic()
     try:
         result = run_job(job, emit=emit, cancel_check=cancel_check)
-        payload = JobResult(
+        message = ("result", token, JobResult(
             job.name, result,
             wall_seconds=time.monotonic() - started,
             method=job.method,
-        ).as_dict()
-        result_queue.put(("result", token, payload))
+        ).as_dict())
     except Exception:
-        result_queue.put(("error", token, traceback.format_exc()))
-    finally:
-        result_queue.close()
-        result_queue.join_thread()
-        event_queue.close()
-        event_queue.join_thread()
+        message = ("error", token, traceback.format_exc())
+    send(message)

@@ -1,6 +1,36 @@
-"""Shared circuit fixtures for the service tests."""
+"""Shared circuit fixtures and process checks for the service tests."""
+
+import os
 
 from repro.netlist import Circuit, GateType
+
+
+def child_pids():
+    """Pids whose parent is this process, unreaped zombies included.
+
+    Read from ``/proc/<pid>/stat``: job workers are raw forks, which
+    ``multiprocessing.active_children()`` never sees.
+    """
+    me = os.getpid()
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open("/proc/{}/stat".format(entry)) as fh:
+                stat = fh.read()
+        except OSError:  # the process exited while we looked
+            continue
+        # The command name is parenthesised and may hold spaces; the
+        # parent pid is the second field after it.
+        if int(stat.rsplit(")", 1)[1].split()[1]) == me:
+            children.append(int(entry))
+    return children
+
+
+def assert_no_child_processes():
+    """Every worker must be reaped: no live or zombie child remains."""
+    assert child_pids() == []
 
 
 def tiny_pair():

@@ -1,18 +1,16 @@
 """Portfolio racing: first conclusive engine wins, losers are cancelled."""
 
-import multiprocessing
-
 import pytest
 
 from repro.service import EventBus, run_portfolio
 from repro.service import events as ev
 
-from .helpers import magic_pair, tiny_pair
+from .helpers import assert_no_child_processes, magic_pair, tiny_pair
 
 
 def _assert_no_orphans():
     """Every worker process must be joined when run_portfolio returns."""
-    assert multiprocessing.active_children() == []
+    assert_no_child_processes()
 
 
 def test_bmc_wins_race_with_counterexample():

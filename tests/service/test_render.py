@@ -57,6 +57,9 @@ def test_server_transcript():
     lines = render([
         (ev.SERVER_STARTED, None, {"host": "127.0.0.1", "port": 8439,
                                    "workers": 2, "pid": 4242}),
+        (ev.SERVER_STARTED, None, {"host": "127.0.0.1", "port": 8440,
+                                   "role": "coordinator", "pid": 4343,
+                                   "nodes": {"alive": 1, "total": 2}}),
         (ev.JOB_SUBMITTED, "j00000001-abc123",
          {"name": "s386", "method": "sat_sweep", "client": "127.0.0.1"}),
         (ev.JOB_REQUEUED, "j00000001-abc123",
@@ -74,6 +77,7 @@ def test_server_transcript():
     ])
     assert lines == [
         "server: listening on 127.0.0.1:8439 (2 workers, pid 4242)",
+        "server: listening on 127.0.0.1:8440 (1/2 nodes alive, pid 4343)",
         "s386         submitted as j00000001-abc123 (sat_sweep)",
         "s386         re-queued (attempt 1): daemon restart",
         "s386         cancelled",

@@ -1,6 +1,5 @@
 """Batch scheduler: parallel verdict parity, caching, retries, budgets."""
 
-import multiprocessing
 import os
 import time
 
@@ -16,7 +15,7 @@ from repro.service import (
 )
 from repro.service import events as ev
 
-from .helpers import magic_pair, tiny_pair
+from .helpers import assert_no_child_processes, magic_pair, tiny_pair
 
 
 def _suite_jobs(count=6):
@@ -32,7 +31,7 @@ def test_parallel_verdicts_match_sequential():
     jobs = _suite_jobs(6)
     sequential = BatchScheduler(workers=0).run(jobs)
     parallel = BatchScheduler(workers=4).run(jobs)
-    assert multiprocessing.active_children() == []
+    assert_no_child_processes()
     assert [r.name for r in parallel] == [r.name for r in sequential]
     assert [r.verdict for r in sequential] == [True] * 6
     assert [r.verdict for r in parallel] == [r.verdict for r in sequential]
@@ -91,7 +90,7 @@ def test_retry_on_crash_then_success(tmp_path):
         results = BatchScheduler(workers=1, bus=bus, retries=1).run([job])
     finally:
         unregister_method("crashy")
-    assert multiprocessing.active_children() == []
+    assert_no_child_processes()
     assert results[0].verdict is True
     assert results[0].attempts == 2
     retry_events = [e for e in seen if e.type == ev.JOB_RETRY]
@@ -110,7 +109,7 @@ def test_crash_without_retries_reports_error():
         results = BatchScheduler(workers=1, retries=0).run([job])
     finally:
         unregister_method("always_crash")
-    assert multiprocessing.active_children() == []
+    assert_no_child_processes()
     assert results[0].verdict is None
     assert "exit code 4" in results[0].error
     assert results[0].result.details["aborted"] == results[0].error
@@ -200,7 +199,7 @@ def test_batch_time_budget_aborts_cleanly():
         elapsed = time.monotonic() - t0
     finally:
         unregister_method("sleepy")
-    assert multiprocessing.active_children() == []
+    assert_no_child_processes()
     assert elapsed < 15
     assert all(r.verdict is None for r in results)
     assert all("budget" in r.result.details.get("aborted", "")
@@ -230,4 +229,4 @@ def test_results_preserve_submission_order():
     jobs = _suite_jobs(4)
     results = BatchScheduler(workers=3).run(jobs)
     assert [r.name for r in results] == [j.name for j in jobs]
-    assert multiprocessing.active_children() == []
+    assert_no_child_processes()

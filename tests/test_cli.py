@@ -83,18 +83,6 @@ def test_verify_refine_batch_and_sim_backend_flags(circuit_files, capsys):
     assert payload["details"]["refine_batch"] == 3
 
 
-def test_verify_fraig_race_flag(circuit_files, capsys):
-    code = main(["verify", str(circuit_files["spec"]),
-                 str(circuit_files["impl"]), "--method", "fraig_sweep",
-                 "--fraig-race", "2", "--json"])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert payload["equivalent"] is True
-    race = payload["details"]["fraig"]["race"]
-    assert set(race) == {"spec", "impl"}
-    assert race["spec"]["strategy"] in race["spec"]["raced"]
-
-
 def test_verify_profile_flag_writes_stats(circuit_files, tmp_path, capsys):
     profile = tmp_path / "verify.prof"
     code = main(["verify", str(circuit_files["spec"]),
